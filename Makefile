@@ -40,6 +40,10 @@ fuzz:
 bench-smoke:
 	$(GO) test -race -run NONE -bench 'BenchmarkStagePut|BenchmarkBulkPull|BenchmarkCompositePooled|BenchmarkStageSaturation|BenchmarkStageBatched|BenchmarkStageOverSM' -benchtime=1x ./internal/bench/
 	$(GO) test -count=1 -run 'AllocsCeiling' ./internal/bench/
+	# Span cost: a labelled StartSpan+End on an empty and on a full trace
+	# ring (End is O(1), so the two should read alike), and its 1-alloc
+	# ceiling (see internal/obs/span.go).
+	$(GO) test -count=1 -run 'TestSpanAllocsFullRing' -bench 'BenchmarkSpanEnd' -benchtime=100000x ./internal/obs/
 	# Codec kernel before/after: word-wise shuffle/XOR next to their
 	# byte-wise references (see internal/codec/kernels.go).
 	$(GO) test -run NONE -bench 'Kernel' -benchtime=100x ./internal/codec/

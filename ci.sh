@@ -104,6 +104,9 @@ go build ./...
 go vet ./...
 go test -timeout 300s ./...
 go test -race -timeout 600s ./...
+# Trace-ring gate: wrap order, resize on a wrapped ring, copy-out and the
+# concurrent End/Trace/SetTraceCapacity accounting, under -race.
+go test -race -count=1 -run 'Trace|Span' ./internal/obs/
 # Allocs/op gate: the pooled stage/pull/composite hot paths must stay under
 # the ceilings locked in by internal/bench/micro_test.go (see BENCH_3.json).
 go test -count=1 -run 'AllocsCeiling' ./internal/bench/

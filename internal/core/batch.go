@@ -389,8 +389,7 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 		}
 		h.codec.recordStaged(reg, h.pipeline, pb.it, blk.rec.Meta, blk.orig, blk.dataLen,
 			blk.rec.CI, blk.used.c, blk.rec.PayloadLen, blk.used.encNs, share)
-		reg.Counter("colza.stage.bytes", "pipeline", h.pipeline).Add(int64(blk.dataLen))
-		reg.Counter("colza.stage.blocks", "pipeline", h.pipeline).Inc()
+		h.stagedCounters(reg).add(blk.dataLen)
 		if blk.orig != nil {
 			bufpool.Put(blk.orig)
 			blk.orig = nil

@@ -277,6 +277,17 @@ type DistributedPipelineHandle struct {
 	// nbSem bounds unbatched NBStage concurrency (lazily created).
 	nbOnce sync.Once
 	nbSem  chan struct{}
+
+	staged obs.Handles[blockCounters] // colza.stage.{bytes,blocks}{pipeline=...}
+}
+
+func (h *DistributedPipelineHandle) stagedCounters(reg *obs.Registry) *blockCounters {
+	return h.staged.For(reg, func(r *obs.Registry) *blockCounters {
+		return &blockCounters{
+			bytes:  r.Counter("colza.stage.bytes", "pipeline", h.pipeline),
+			blocks: r.Counter("colza.stage.blocks", "pipeline", h.pipeline),
+		}
+	})
 }
 
 // nbStageWindow bounds concurrently in-flight unbatched NBStage calls per
@@ -717,8 +728,7 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 		_, err = h.c.call(view.Members[target].RPC, "stage", payload, timeout)
 		if err == nil {
 			h.codec.recordSuccess(reg, h.pipeline, it, meta, data, ci, used.c, len(wire), used.encNs, time.Since(start).Nanoseconds())
-			reg.Counter("colza.stage.bytes", "pipeline", h.pipeline).Add(int64(len(data)))
-			reg.Counter("colza.stage.blocks", "pipeline", h.pipeline).Inc()
+			h.stagedCounters(reg).add(len(data))
 			return nil
 		}
 		if isDeltaBaseMismatch(err) && ci.HasBase {

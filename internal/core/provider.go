@@ -109,6 +109,27 @@ type pipelineSlot struct {
 	prepared    *preparedState
 	active      *activeState
 	lastMembers string // member key of the last committed view (delta invalidation)
+
+	staged obs.Handles[blockCounters] // colza.staged.{bytes,blocks}{pipeline=name}
+}
+
+// blockCounters are a pipeline's per-block byte and block counters,
+// resolved once per registry so the stage paths compose no key per block.
+type blockCounters struct{ bytes, blocks *obs.Counter }
+
+// add counts one block of n bytes.
+func (c *blockCounters) add(n int) {
+	c.bytes.Add(int64(n))
+	c.blocks.Inc()
+}
+
+func (s *pipelineSlot) stagedCounters(reg *obs.Registry) *blockCounters {
+	return s.staged.For(reg, func(r *obs.Registry) *blockCounters {
+		return &blockCounters{
+			bytes:  r.Counter("colza.staged.bytes", "pipeline", s.name),
+			blocks: r.Counter("colza.staged.blocks", "pipeline", s.name),
+		}
+	})
 }
 
 // Provider hosts pipelines on one staging server and reacts to membership
@@ -127,8 +148,8 @@ type Provider struct {
 	leaving       bool
 	left          bool
 	onLeave       func()
-	stateReplicas int              // ring successors per checkpoint round; 0 disables
-	lastMigration *MigrationStatus // outcome of the leave-time migration
+	stateReplicas int                    // ring successors per checkpoint round; 0 disables
+	lastMigration *MigrationStatus       // outcome of the leave-time migration
 	elasticStatus func() ([]byte, error) // elastic controller status hook (nil without -elastic)
 
 	// Replicated-checkpoint store (see checkpoint.go): checkpoints held for
@@ -635,8 +656,7 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 		ctrIn.Add(int64(wireLen))
 		ctrOut.Add(int64(n))
 	}
-	reg.Counter("colza.staged.bytes", "pipeline", pipeline).Add(int64(n))
-	reg.Counter("colza.staged.blocks", "pipeline", pipeline).Inc()
+	slot.stagedCounters(reg).add(n)
 	sp.End(nil)
 	return []byte("ok"), nil
 }
@@ -754,8 +774,7 @@ func (p *Provider) stageBatchedBlock(slot *pipelineSlot, pipeline string, iterat
 		ctrIn.Add(int64(len(wire)))
 		ctrOut.Add(int64(n))
 	}
-	reg.Counter("colza.staged.bytes", "pipeline", pipeline).Add(int64(n))
-	reg.Counter("colza.staged.blocks", "pipeline", pipeline).Inc()
+	slot.stagedCounters(reg).add(n)
 	return 0, nil
 }
 

@@ -81,16 +81,30 @@ func ProviderRPCName(provider, rpc string) string {
 // Argobots pool's queue depth) and per-handler dispatch latency.
 func (m *Instance) RegisterProviderRPC(provider, rpc string, h mercury.Handler) {
 	name := ProviderRPCName(provider, rpc)
+	var instr obs.Handles[dispatchInstr]
+	resolve := func(r *obs.Registry) *dispatchInstr {
+		return &dispatchInstr{
+			inflight: r.Gauge("margo.handlers.inflight"),
+			latency:  r.Histogram("margo.dispatch.latency", "rpc", name),
+		}
+	}
 	m.class.Register(name, func(req mercury.Request) ([]byte, error) {
 		reg := m.observer()
-		reg.Gauge("margo.handlers.inflight").Inc()
+		in := instr.For(reg, resolve)
+		in.inflight.Inc()
 		start := reg.Now()
 		defer func() {
-			reg.Histogram("margo.dispatch.latency", "rpc", name).Observe(int64(reg.Now() - start))
-			reg.Gauge("margo.handlers.inflight").Dec()
+			in.latency.Observe(int64(reg.Now() - start))
+			in.inflight.Dec()
 		}()
 		return h(req)
 	})
+}
+
+// dispatchInstr is one provider RPC's handler instruments.
+type dispatchInstr struct {
+	inflight *obs.Gauge
+	latency  *obs.Histogram
 }
 
 // CallProvider invokes a provider-qualified RPC at addr.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"colza/internal/mercury"
+	"colza/internal/obs"
 )
 
 // This file implements execution streams: named bounded pools the analog of
@@ -55,6 +56,33 @@ type Pool struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
+
+	// Per-task instruments, resolved once per observer registry. The shed
+	// counter is resolved apart, on the first shed, so a pool that never
+	// sheds shows no shed counter.
+	instr obs.Handles[poolInstr]
+	shed  obs.Handles[obs.Counter]
+}
+
+type poolInstr struct {
+	depth, busy *obs.Gauge
+	wait        *obs.Histogram
+}
+
+func (p *Pool) instruments(reg *obs.Registry) *poolInstr {
+	return p.instr.For(reg, func(r *obs.Registry) *poolInstr {
+		return &poolInstr{
+			depth: r.Gauge("margo.pool.queue.depth", "pool", p.name),
+			busy:  r.Gauge("margo.pool.busy", "pool", p.name),
+			wait:  r.Histogram("margo.pool.wait", "pool", p.name),
+		}
+	})
+}
+
+func (p *Pool) shedCounter(reg *obs.Registry) *obs.Counter {
+	return p.shed.For(reg, func(r *obs.Registry) *obs.Counter {
+		return r.Counter("margo.pool.shed", "pool", p.name)
+	})
 }
 
 type poolTask struct {
@@ -156,15 +184,15 @@ func (p *Pool) Config() PoolConfig { return p.cfg }
 func (p *Pool) trySubmit(run func()) error {
 	reg := p.m.observer()
 	if p.closed.Load() {
-		reg.Counter("margo.pool.shed", "pool", p.name).Inc()
+		p.shedCounter(reg).Inc()
 		return &mercury.BusyError{RetryAfter: p.cfg.BusyHint}
 	}
 	select {
 	case p.tasks <- poolTask{run: run, enq: reg.Now()}:
-		reg.Gauge("margo.pool.queue.depth", "pool", p.name).Inc()
+		p.instruments(reg).depth.Inc()
 		return nil
 	default:
-		reg.Counter("margo.pool.shed", "pool", p.name).Inc()
+		p.shedCounter(reg).Inc()
 		return &mercury.BusyError{RetryAfter: p.cfg.BusyHint}
 	}
 }
@@ -192,12 +220,12 @@ func (p *Pool) worker() {
 
 func (p *Pool) runTask(t poolTask) {
 	reg := p.m.observer()
-	reg.Gauge("margo.pool.queue.depth", "pool", p.name).Dec()
-	reg.Histogram("margo.pool.wait", "pool", p.name).Observe(int64(reg.Now() - t.enq))
-	busy := reg.Gauge("margo.pool.busy", "pool", p.name)
-	busy.Inc()
+	in := p.instruments(reg)
+	in.depth.Dec()
+	in.wait.Observe(int64(reg.Now() - t.enq))
+	in.busy.Inc()
 	t.run()
-	busy.Dec()
+	in.busy.Dec()
 }
 
 // close stops the workers after the current (and queued) tasks finish.

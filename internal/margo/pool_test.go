@@ -203,3 +203,37 @@ func TestDefinePoolIdempotent(t *testing.T) {
 		t.Fatalf("config workers = %d, want first definition's 1", got)
 	}
 }
+
+// TestPoolMetricsFollowSetObserver: the pool and dispatch instruments are
+// resolved once per registry, and a registry swapped in after traffic has
+// flowed receives everything from then on.
+func TestPoolMetricsFollowSetObserver(t *testing.T) {
+	m1, m2 := twoInstances(t)
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	m2.SetObserver(first)
+	p := m2.DefinePool("data", PoolConfig{Workers: 1})
+	m2.RegisterProviderRPCOnPool("t", "work", p, func(req mercury.Request) ([]byte, error) {
+		return nil, nil
+	})
+	call := func() {
+		t.Helper()
+		if _, err := m1.CallProvider(m2.Addr(), "t", "work", nil, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	call()
+	m2.SetObserver(second)
+	call()
+	for _, c := range []struct {
+		reg  *obs.Registry
+		want int64
+	}{{first, 2}, {second, 1}} {
+		if got := c.reg.Histogram("margo.pool.wait", "pool", "data").Count(); got != c.want {
+			t.Errorf("margo.pool.wait count = %d, want %d", got, c.want)
+		}
+		if got := c.reg.Histogram("margo.dispatch.latency", "rpc", "t::work").Count(); got != c.want {
+			t.Errorf("margo.dispatch.latency count = %d, want %d", got, c.want)
+		}
+	}
+}

@@ -183,7 +183,7 @@ func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 		return ErrBadBulk
 	}
 	reg := c.observer()
-	m := c.bulkM.for_(reg)
+	m := c.bulkM.For(reg, resolveBulkMetrics)
 	start := reg.Now()
 	defer func() {
 		m.latency.Observe(int64(reg.Now() - start))

@@ -193,7 +193,7 @@ type Class struct {
 	// call/serve/bulk hot paths resolve instruments once per rpc name.
 	callM  metricsCache
 	serveM metricsCache
-	bulkM  bulkMetricsCache
+	bulkM  obs.Handles[bulkMetrics]
 
 	wg sync.WaitGroup
 }

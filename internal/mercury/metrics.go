@@ -2,7 +2,6 @@ package mercury
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"colza/internal/obs"
 )
@@ -73,26 +72,17 @@ func (mc *metricsCache) serve(reg *obs.Registry, name string) *serveMetrics {
 // bulkMetrics bundles the bulk-pull instruments (unlabeled, one set per
 // registry).
 type bulkMetrics struct {
-	reg     *obs.Registry
 	count   *obs.Counter
 	bytes   *obs.Counter
 	local   *obs.Counter
 	latency *obs.Histogram
 }
 
-type bulkMetricsCache struct{ p atomic.Pointer[bulkMetrics] }
-
-func (mc *bulkMetricsCache) for_(reg *obs.Registry) *bulkMetrics {
-	if m := mc.p.Load(); m != nil && m.reg == reg {
-		return m
-	}
-	m := &bulkMetrics{
-		reg:     reg,
+func resolveBulkMetrics(reg *obs.Registry) *bulkMetrics {
+	return &bulkMetrics{
 		count:   reg.Counter("mercury.bulk.pull.count"),
 		bytes:   reg.Counter("mercury.bulk.pull.bytes"),
 		local:   reg.Counter("mercury.bulk.pull.local"),
 		latency: reg.Histogram("mercury.bulk.pull.latency"),
 	}
-	mc.p.Store(m)
-	return m
 }

@@ -10,7 +10,8 @@
 //
 //   - stdlib only, no allocation on the metric hot path beyond the first
 //     lookup (instruments are cached by composed key and updated with
-//     atomics);
+//     atomics; hot paths hold the resolved instruments in Handles, so they
+//     compose no key per call);
 //   - an injectable Clock so DES-backed runs (internal/dessim) record
 //     virtual time and real runs record wall time — histograms from two
 //     same-seed DES runs are byte-identical;
@@ -126,23 +127,35 @@ func (g *Gauge) bumpMax(v int64) {
 // are created on first use and live for the registry's lifetime; all
 // methods are safe for concurrent use.
 type Registry struct {
+	// clock is read on every span start and end and every pool task, so it
+	// sits behind an atomic pointer rather than the instrument lock.
+	clock atomic.Pointer[Clock]
+
 	mu       sync.RWMutex
-	clock    Clock
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	trace    traceBuf
+
+	// spans caches each (name, pipeline) span's instruments (see
+	// spanInstruments); spanMu serializes its copy-on-write updates.
+	spans  atomic.Pointer[map[spanID]*spanInstr]
+	spanMu sync.Mutex
+
+	trace traceBuf
 }
 
 // NewRegistry creates an empty registry on the wall clock.
 func NewRegistry() *Registry {
-	return &Registry{
-		clock:    WallClock(),
+	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		trace:    traceBuf{cap: defaultTraceCap},
 	}
+	wall := WallClock()
+	r.clock.Store(&wall)
+	r.spans.Store(&map[spanID]*spanInstr{})
+	return r
 }
 
 var defaultRegistry = NewRegistry()
@@ -152,23 +165,18 @@ var defaultRegistry = NewRegistry()
 func Default() *Registry { return defaultRegistry }
 
 // SetClock replaces the registry's time source (virtual time for
-// DES-backed runs). It should be called before any spans start.
+// DES-backed runs). It is safe at any time; a span started on the old
+// clock and ended on the new one measures the difference of the two
+// readings (clamped at zero), so swap clocks between measurements.
 func (r *Registry) SetClock(c Clock) {
 	if c == nil {
 		return
 	}
-	r.mu.Lock()
-	r.clock = c
-	r.mu.Unlock()
+	r.clock.Store(&c)
 }
 
 // Now reads the registry's clock.
-func (r *Registry) Now() time.Duration {
-	r.mu.RLock()
-	c := r.clock
-	r.mu.RUnlock()
-	return c()
-}
+func (r *Registry) Now() time.Duration { return (*r.clock.Load())() }
 
 // Counter returns (creating if needed) the counter for the composed key.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
@@ -223,6 +231,31 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 		r.hists[k] = h
 	}
 	return h
+}
+
+// Handles caches a bundle of instruments resolved against one registry,
+// so a hot path holds pre-resolved handles instead of composing a
+// labelled key per call. For returns the bundle built for reg, calling
+// resolve on first use and again whenever the owner's registry changes
+// (SetObserver), so the handles always follow the registry in effect. The
+// zero value is ready to use.
+type Handles[T any] struct {
+	p atomic.Pointer[handlesEntry[T]]
+}
+
+type handlesEntry[T any] struct {
+	reg *Registry
+	v   *T
+}
+
+// For returns the handles resolved against reg.
+func (h *Handles[T]) For(reg *Registry, resolve func(*Registry) *T) *T {
+	if e := h.p.Load(); e != nil && e.reg == reg {
+		return e.v
+	}
+	e := &handlesEntry[T]{reg: reg, v: resolve(reg)}
+	h.p.Store(e)
+	return e.v
 }
 
 // GaugeSnapshot is a gauge's value and high-water mark at snapshot time.

@@ -241,3 +241,25 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		t.Fatalf("hist count %d", snap.Histograms["h"].Count)
 	}
 }
+
+func TestHandlesFollowRegistry(t *testing.T) {
+	var h Handles[Counter]
+	resolves := 0
+	resolve := func(r *Registry) *Counter {
+		resolves++
+		return r.Counter("c", "k", "v")
+	}
+	a, b := NewRegistry(), NewRegistry()
+	h.For(a, resolve).Inc()
+	h.For(a, resolve).Inc()
+	if resolves != 1 {
+		t.Fatalf("resolved %d times against one registry, want 1", resolves)
+	}
+	h.For(b, resolve).Inc()
+	if resolves != 2 {
+		t.Fatalf("a registry swap must re-resolve (resolves = %d)", resolves)
+	}
+	if ga, gb := a.Counter("c", "k", "v").Value(), b.Counter("c", "k", "v").Value(); ga != 2 || gb != 1 {
+		t.Fatalf("counts a=%d b=%d, want 2 and 1", ga, gb)
+	}
+}

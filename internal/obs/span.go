@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -52,7 +53,10 @@ func (r *Registry) StartSpan(name string, key SpanKey) *Span {
 }
 
 // End completes the span, recording err (nil for success), and returns
-// the measured duration. It is safe on a nil span.
+// the measured duration. It is safe on a nil span. End composes no metric
+// key and allocates nothing beyond err's text: the span's instruments are
+// resolved once per (name, pipeline) and the trace ring overwrites in
+// place.
 func (s *Span) End(err error) time.Duration {
 	if s == nil || s.r == nil {
 		return 0
@@ -61,11 +65,8 @@ func (s *Span) End(err error) time.Duration {
 	if dur < 0 {
 		dur = 0
 	}
-	var labels []string
-	if s.key.Pipeline != "" {
-		labels = []string{"pipeline", s.key.Pipeline}
-	}
-	s.r.Histogram("span."+s.name, labels...).Observe(int64(dur))
+	in := s.r.spanInstruments(s.name, s.key.Pipeline)
+	in.hist.Observe(int64(dur))
 	rec := SpanRecord{
 		Name:      s.name,
 		Pipeline:  s.key.Pipeline,
@@ -76,36 +77,105 @@ func (s *Span) End(err error) time.Duration {
 	}
 	if err != nil {
 		rec.Err = err.Error()
-		s.r.Counter("span."+s.name+".errors", labels...).Inc()
+		in.errorCounter(s.r, s.name, s.key.Pipeline).Inc()
 	}
 	s.r.trace.append(rec)
 	return dur
 }
 
-// traceBuf is a mutex-guarded ring of completed spans.
+// spanID keys the per-registry cache of span instruments.
+type spanID struct{ name, pipeline string }
+
+// spanInstr holds one (name, pipeline) span's pre-resolved instruments.
+type spanInstr struct {
+	hist *Histogram
+	// errs is created on the span's first error, so a span that never
+	// fails adds no error counter to snapshots.
+	errs atomic.Pointer[Counter]
+}
+
+func spanLabels(pipeline string) []string {
+	if pipeline == "" {
+		return nil
+	}
+	return []string{"pipeline", pipeline}
+}
+
+func (in *spanInstr) errorCounter(r *Registry, name, pipeline string) *Counter {
+	if c := in.errs.Load(); c != nil {
+		return c
+	}
+	c := r.Counter("span."+name+".errors", spanLabels(pipeline)...)
+	in.errs.Store(c)
+	return c
+}
+
+// spanInstruments returns the cached instruments of (name, pipeline). The
+// cache is a copy-on-write map behind an atomic pointer: every span after
+// the first of its kind reads it without a lock or an allocation.
+func (r *Registry) spanInstruments(name, pipeline string) *spanInstr {
+	id := spanID{name, pipeline}
+	if in, ok := (*r.spans.Load())[id]; ok {
+		return in
+	}
+	h := r.Histogram("span."+name, spanLabels(pipeline)...)
+	r.spanMu.Lock()
+	defer r.spanMu.Unlock()
+	old := *r.spans.Load()
+	if in, ok := old[id]; ok {
+		return in
+	}
+	m := make(map[spanID]*spanInstr, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	in := &spanInstr{hist: h}
+	m[id] = in
+	r.spans.Store(&m)
+	return in
+}
+
+// traceBuf is a mutex-guarded ring of completed spans. recs grows by
+// append until it holds cap records; from then on each append overwrites
+// the oldest record, recs[head], and advances head, so appending costs the
+// same on a full ring as on an empty one.
 type traceBuf struct {
 	mu      sync.Mutex
 	cap     int
 	recs    []SpanRecord
+	head    int // index of the oldest record; nonzero only once len(recs) == cap
 	dropped int64
 }
 
 func (t *traceBuf) append(rec SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.cap <= 0 {
-		t.cap = defaultTraceCap
+	if len(t.recs) < t.cap {
+		t.recs = append(t.recs, rec)
+		return
 	}
-	if len(t.recs) >= t.cap {
-		n := copy(t.recs, t.recs[1:])
-		t.recs = t.recs[:n]
-		t.dropped++
+	t.recs[t.head] = rec
+	t.head++
+	if t.head == len(t.recs) {
+		t.head = 0
 	}
-	t.recs = append(t.recs, rec)
+	t.dropped++
 }
 
-// SetTraceCapacity resizes the trace ring (existing newest records are
-// kept). Capacity below 1 is treated as 1.
+// ordered copies the retained records, oldest first, into a new slice
+// (nil when the ring is empty). The caller holds t.mu.
+func (t *traceBuf) ordered() []SpanRecord {
+	if len(t.recs) == 0 {
+		return nil
+	}
+	out := make([]SpanRecord, 0, len(t.recs))
+	out = append(out, t.recs[t.head:]...)
+	return append(out, t.recs[:t.head]...)
+}
+
+// SetTraceCapacity resizes the trace ring, keeping the newest records in
+// completion order; the ones that no longer fit count as dropped.
+// Capacity below 1 is treated as 1.
 func (r *Registry) SetTraceCapacity(n int) {
 	if n < 1 {
 		n = 1
@@ -113,11 +183,12 @@ func (r *Registry) SetTraceCapacity(n int) {
 	t := &r.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.cap = n
-	if len(t.recs) > n {
-		t.dropped += int64(len(t.recs) - n)
-		t.recs = append([]SpanRecord(nil), t.recs[len(t.recs)-n:]...)
+	recs := t.ordered()
+	if len(recs) > n {
+		t.dropped += int64(len(recs) - n)
+		recs = append([]SpanRecord(nil), recs[len(recs)-n:]...)
 	}
+	t.recs, t.head, t.cap = recs, 0, n
 }
 
 // Trace returns a copy of the retained spans in completion order.
@@ -125,7 +196,7 @@ func (r *Registry) Trace() []SpanRecord {
 	t := &r.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.recs...)
+	return t.ordered()
 }
 
 // TraceDropped reports how many spans the ring has evicted.
