@@ -29,7 +29,6 @@ cover:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseLegacyImageData -fuzztime=10s ./internal/vtk/
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/codec/
-	$(GO) test -run=NONE -fuzz=FuzzStageFrameDecode -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzStageBatchDecode -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzShmFrameDecode -fuzztime=10s ./internal/na/
 

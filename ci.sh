@@ -3,12 +3,12 @@
 # `./ci.sh cover` runs only the coverage floor check.
 set -eux
 
-# Coverage floor for the packages whose correctness the rest of the stack
-# leans on (metrics math, collective algorithms, image compositing). Fuzz
-# seed corpora run as ordinary tests inside these passes.
+# Statement-coverage floor over whole packages: check_cover FLOOR PKG...
+# Fuzz seed corpora run as ordinary tests inside these passes.
 check_cover() {
-    floor=60
-    go test -cover ./internal/obs/ ./internal/collectives/ ./internal/icet/ |
+    floor=$1
+    shift
+    go test -cover "$@" |
         awk -v floor="$floor" '
             /coverage:/ {
                 pct = $0
@@ -19,46 +19,6 @@ check_cover() {
             }
             END {
                 if (bad) { print "coverage below " floor "% floor"; exit 1 }
-            }'
-}
-
-# The codec layer sits on the untrusted side of the wire (the server
-# decodes whatever a client staged), so it carries a stricter floor than
-# the general gate: every branch of every registered codec is expected to
-# be reachable from the conformance suite.
-check_codec_cover() {
-    floor=90
-    go test -cover ./internal/codec/ |
-        awk -v floor="$floor" '
-            /coverage:/ {
-                pct = $0
-                sub(/.*coverage: /, "", pct)
-                sub(/%.*/, "", pct)
-                printf "%-40s %s%%\n", $2, pct
-                if (pct + 0 < floor) { bad = 1 }
-            }
-            END {
-                if (bad) { print "codec coverage below " floor "% floor"; exit 1 }
-            }'
-}
-
-# The elastic controller actuates real process launches and membership
-# leaves; a policy bug silently wastes nodes or melts the staging area, so
-# the closed loop carries the strict floor: every controller branch is
-# expected to be reachable from the conformance + live-deps suites.
-check_elastic_cover() {
-    floor=90
-    go test -cover ./internal/elastic/ |
-        awk -v floor="$floor" '
-            /coverage:/ {
-                pct = $0
-                sub(/.*coverage: /, "", pct)
-                sub(/%.*/, "", pct)
-                printf "%-40s %s%%\n", $2, pct
-                if (pct + 0 < floor) { bad = 1 }
-            }
-            END {
-                if (bad) { print "elastic coverage below " floor "% floor"; exit 1 }
             }'
 }
 
@@ -92,14 +52,35 @@ check_batcher_cover() {
     rm -f "$profile"
 }
 
-if [ "${1:-}" = "cover" ]; then
-    check_cover
-    check_codec_cover
-    check_elastic_cover
+cover_gates() {
+    # The packages whose correctness the rest of the stack leans on
+    # (metrics math, collective algorithms, image compositing).
+    check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
+    # The codec layer sits on the untrusted side of the wire (the server
+    # decodes whatever a client staged), so it carries a stricter floor:
+    # every branch of every registered codec is expected to be reachable
+    # from the conformance suite.
+    check_cover 90 ./internal/codec/
+    # The elastic controller actuates real process launches and membership
+    # leaves; a policy bug silently wastes nodes or melts the staging area,
+    # so every controller branch is expected to be reachable from the
+    # conformance + live-deps suites.
+    check_cover 90 ./internal/elastic/
     check_batcher_cover
+}
+
+if [ "${1:-}" = "cover" ]; then
+    cover_gates
     exit 0
 fi
 
+# Formatting gate: every Go file in the tree is gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:"
+    echo "$unformatted"
+    exit 1
+fi
 go build ./...
 go vet ./...
 go test -timeout 300s ./...
@@ -121,18 +102,14 @@ go test -count=1 -timeout 300s -run 'TestNBStageBoundedGoroutines|TestBatcherDra
 # the crash-free oracle's cumulative statistics exactly (replicated
 # checkpoints), and the no-replication control arm must document the loss.
 go test -race -count=1 -timeout 300s -run 'TestCrashRecovery' ./internal/e2e/
-# Compression gate: the chaos stage-retry ownership and recovery-vs-oracle
-# suites rerun with the wire codecs live (adaptive and forced-delta arms),
-# under -race — compressed frames must survive retry storms, crash
-# recovery, and delta-base invalidation with bit-identical payloads.
-go test -race -count=1 -timeout 300s \
-    -run 'TestChaosStageRetryBufferOwnership|TestCrashRecoveryMatchesOracleCompressed' ./internal/e2e/
-# Batching gate: the stage-retry ownership chaos suite reruns with the
-# coalescing batcher engaged (multi-block v3 frames, dropped batch request
-# and response, delta-base mismatch demux) under -race, and the quick-shape
-# BENCH_9 trajectory point must regenerate with the batched path ahead of
-# per-block staging.
-go test -race -count=1 -timeout 300s -run 'TestChaosBatchedStageRetryBufferOwnership' ./internal/e2e/
+# Compression gate: the crash-recovery-vs-oracle suite reruns with the
+# wire codecs live under -race — compressed frames must survive crash
+# recovery and delta-base invalidation with bit-identical payloads. (The
+# codec arms of the stage-retry chaos matrix run in the shared-memory gate
+# below.)
+go test -race -count=1 -timeout 300s -run 'TestCrashRecoveryMatchesOracleCompressed' ./internal/e2e/
+# Batching gate: the quick-shape BENCH_9 trajectory point must regenerate
+# with the batched path ahead of per-block staging.
 # Healthy runs sit at ~2.2x; a single-core CI box right after the race
 # suites can hit transient multi-second scheduler stalls, so the floor
 # gets three attempts — any one clearing 1.2x passes.
@@ -155,13 +132,16 @@ if [ "$bench9_ok" != 1 ]; then
     echo "batched stage path never cleared the 1.2x quick floor in 3 attempts"
     exit 1
 fi
-# Shared-memory transport gate: the full-stack e2e and the stage-retry
-# buffer-ownership chaos scenario rerun with every server (and the client)
-# on sm+tcp dual endpoints under -race — frames through the mmap'd rings,
-# bulk pulls zero-copy out of the shared arenas, faults injected on the sm
-# route — followed by a segment-cleanup sweep: a test run must not leave
-# orphaned sockets, rings, or bulk arenas in the temp tree.
-go test -race -count=1 -timeout 300s -run 'TestColzaOverSM|TestChaosStageRetryOverSM' ./internal/e2e/
+# Stage-retry chaos matrix and shared-memory transport gate, under -race:
+# every arm of TestChaosStageRetry ({inproc, sm} x {per-block, batched} x
+# codec) drops a stage request and a stage response mid-run and checks
+# per-byte checksums, retries, codec fallbacks and bulk-region leaks; the
+# full-stack e2e and the sm arms run every server (and the client) on
+# sm+tcp dual endpoints — frames through the mmap'd rings, bulk pulls
+# zero-copy out of the shared arenas, faults injected on the sm route.
+# A segment-cleanup sweep follows: a test run must not leave orphaned
+# sockets, rings, or bulk arenas in the temp tree.
+go test -race -count=1 -timeout 300s -run 'TestColzaOverSM|TestChaosStageRetry' ./internal/e2e/
 leftovers=$(find "${TMPDIR:-/tmp}" -maxdepth 2 \
     \( -name 'czsm-*' -o -path '*/colza-sm/*' \) 2>/dev/null | head -20)
 if [ -n "$leftovers" ]; then
@@ -198,7 +178,4 @@ fi
 # (TestControllerStopLeaksNoGoroutine).
 go test -race -count=1 -timeout 120s ./internal/elastic/
 go test -race -count=1 -timeout 300s -run 'TestElastic' ./internal/e2e/
-check_cover
-check_codec_cover
-check_elastic_cover
-check_batcher_cover
+cover_gates

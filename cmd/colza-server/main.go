@@ -49,7 +49,6 @@ func main() {
 	stateReplicas := flag.Int("state-replicas", 1, "ring successors receiving each stateful pipeline's checkpoint after deactivate (0 disables the durability layer)")
 	codecName := flag.String("codec", "", "restrict accepted stage codecs to raw plus this one (raw, flate, shuffle, delta); empty accepts all")
 	codecAdaptive := flag.Bool("codec-adaptive", true, "accept compressed stage frames; false makes the server raw-only")
-	stageBatch := flag.Bool("stage-batch", true, "accept batched stage frames (stagewire v3); clients batch only when asked to via -stage-batch-* flags")
 	elasticOn := flag.Bool("elastic", false, "embed the closed-loop scaling controller (the SWIM leader's controller actuates)")
 	elasticTarget := flag.Duration("elastic-target", time.Second, "desired per-iteration execute time the controller steers toward")
 	elasticFloor := flag.Int("elastic-floor", 1, "minimum staging-area size the controller may scale down to")
@@ -127,7 +126,6 @@ func main() {
 	if err != nil {
 		fatal("start server: %v", err)
 	}
-	srv.Provider.SetStageBatch(*stageBatch)
 	if bootstrap == "" {
 		if err := os.WriteFile(*connFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
 			fatal("write connection file: %v", err)
@@ -175,7 +173,6 @@ func main() {
 				// package stops parsing at a separate bare "true" token,
 				// which would silently drop every flag after it.
 				fmt.Sprintf("-codec-adaptive=%v", *codecAdaptive),
-				fmt.Sprintf("-stage-batch=%v", *stageBatch),
 				"-state-replicas", fmt.Sprint(*stateReplicas),
 				"-elastic=true",
 				"-elastic-target", elasticTarget.String(),

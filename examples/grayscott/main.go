@@ -37,8 +37,9 @@ const (
 )
 
 // Client-side stage batching knobs (DESIGN.md §12). Batching stays off by
-// default — the example then stages on the per-block v2 wire path; any
-// non-zero -stage-batch-* flag engages the batcher with these triggers.
+// default — the example then stages each block as a batch of one, straight
+// from its buffer; any non-zero -stage-batch-* flag engages the batcher
+// with these triggers.
 var (
 	batchBytes  = flag.Int("stage-batch-bytes", 0, "flush a pending batch at this many assembled payload bytes (0 = default when batching on)")
 	batchBlocks = flag.Int("stage-batch-blocks", 0, "flush a pending batch at this many blocks (0 = default when batching on)")

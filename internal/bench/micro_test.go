@@ -18,7 +18,7 @@ func BenchmarkCompositePooled(b *testing.B)    { BenchCompositePooled(b) }
 // Overload path: tiny stage pool vs parallel stagers (see saturation.go).
 func BenchmarkStageSaturation(b *testing.B) { BenchStageSaturation(b) }
 
-// Batched stage path (stagewire v3 coalescing, see stagebatch.go); the
+// Batched stage path (multi-block frames, see stagebatch.go); the
 // unbatched twin runs the identical shape for the BENCH_9 comparison.
 func BenchmarkStageBatched(b *testing.B)   { BenchStageBatched(b) }
 func BenchmarkStageUnbatched(b *testing.B) { BenchStageUnbatched(b) }

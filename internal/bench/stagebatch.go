@@ -16,7 +16,7 @@ import (
 // --- Batched stage-path micro-benchmarks (BENCH_9) ------------------------
 //
 // The stage hot path can now coalesce blocks bound for the same server rank
-// into multi-block stagewire v3 frames (DESIGN.md §12). These benchmarks pin
+// into multi-block stage frames (DESIGN.md §12). These benchmarks pin
 // the result on the gray-scott-style small-block shape that motivated the
 // change: many little blocks per iteration, where the per-block RPC
 // round-trip — not bandwidth — dominates. colza-bench emits the comparison
@@ -75,8 +75,8 @@ func stageBatchEnv(name string) (h *core.DistributedPipelineHandle, cleanup func
 
 // stageBatchOp stages one iteration's worth of small blocks into the active
 // iteration and drains the handle. On the batched handle the Stage calls
-// enqueue into coalesced v3 frames and Flush is the barrier; unbatched, each
-// Stage is its own v2 RPC round-trip and Flush is a no-op.
+// enqueue into coalesced frames and Flush is the barrier; unbatched, each
+// Stage is its own one-block RPC round-trip and Flush is a no-op.
 func stageBatchOp(h *core.DistributedPipelineHandle, blocks int, data []byte) error {
 	meta := core.BlockMeta{Field: "v", Type: "raw"}
 	for b := 0; b < blocks; b++ {
@@ -122,7 +122,7 @@ func BenchStageBatched(b *testing.B) {
 	benchStageShape(b, "bench9-batched", true, stageBatchBlocksFull, stageBatchBlockLen)
 }
 
-// BenchStageUnbatched is the per-block v2 baseline on the identical shape:
+// BenchStageUnbatched is the per-block baseline on the identical shape:
 // one synchronous stage RPC + bulk pull per block.
 func BenchStageUnbatched(b *testing.B) {
 	benchStageShape(b, "bench9-unbatched", false, stageBatchBlocksFull, stageBatchBlockLen)
@@ -188,7 +188,7 @@ func MicroStageBatch(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "BENCH 9",
 		Title:   "batched stage path: throughput vs per-block staging",
-		Note:    "same gray-scott-style small-block shape on both paths; batched = stagewire v3 coalescing + window, unbatched = one v2 RPC per block",
+		Note:    "same gray-scott-style small-block shape on both paths; batched = multi-block frames + window, unbatched = one RPC per block",
 		Columns: []string{"shape", "batched_MB/s", "unbatched_MB/s", "speedup_x", "batched_allocs/block"},
 	}
 	t.Add(p.Shape,

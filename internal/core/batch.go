@@ -12,7 +12,8 @@ import (
 
 // BatchConfig tunes the per-handle stage batcher (SetBatching). Zero
 // fields take the defaults; batching itself is strictly opt-in — a handle
-// without SetBatching stages every block on the unchanged v2 wire path.
+// without SetBatching stages every block as a batch of one, straight from
+// the caller's buffer.
 type BatchConfig struct {
 	// MaxBlocks flushes a rank's pending batch once it holds this many
 	// blocks (default 64).
@@ -164,17 +165,7 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 	// Encode outside the batcher lock: this copies (or compresses) the
 	// caller's bytes into storage the batch owns, so data is free for reuse
 	// as soon as enqueue returns.
-	var (
-		wire       []byte
-		pooledWire bool
-		ci         stageCodecInfo
-		used       codecUsed
-	)
-	if h.codec.enabled() {
-		wire, pooledWire, ci, used.c, used.encNs = h.codec.encodeStage(h.pipeline, it, meta, data, false)
-	} else {
-		wire, ci = data, stageCodecInfo{Uncompressed: uint64(len(data))}
-	}
+	wire, pooledWire, ci, used := h.codec.encodeStage(h.pipeline, it, meta, data, false)
 	var orig []byte
 	if ci.Remember || ci.HasBase {
 		// The delta machinery needs the original bytes after the RPC lands
@@ -314,57 +305,21 @@ func (b *stageBatcher) finish(pb *pendingBatch, err error) {
 	}
 }
 
-// send performs one batch RPC under the handle's stage retry policy —
-// whole-batch retries for transport-level failures (the frame either never
-// landed or never answered), per-block demultiplexing once a response
-// arrives. Buffer teardown covers every exit path: the frame and the
-// exposed payload are released here, per-block orig copies by the
-// completion helpers.
+// send performs one batch's stage exchange — whole-batch retries for
+// transport-level failures (the frame either never landed or never
+// answered), per-block demultiplexing once a response arrives. Buffer
+// teardown covers every exit path: the exchange releases the frame and the
+// bulk region, finish or send recycles the payload buffer, and the
+// completion helpers the per-block orig copies.
 func (b *stageBatcher) send(pb *pendingBatch) {
 	h := b.h
 	reg := h.c.observer()
-	h.mu.Lock()
-	timeout := h.timeout
-	retry := h.stageRetry
-	h.mu.Unlock()
-	sp := reg.StartSpan("stage_batch", SpanKeyFor(h.pipeline, pb.it))
-	cls := h.c.mi.Class()
-	bulk := cls.Expose(pb.payload)
-	frame := appendStageBatchMsg(bufpool.Get(stageBatchMsgSize(h.pipeline, pb.recs, bulk))[:0], h.pipeline, pb.it, pb.recs, bulk)
-	var (
-		resp []byte
-		err  error
-	)
-	start := time.Now()
-	for attempt := 0; attempt < retry.attempts(); attempt++ {
-		if attempt > 0 {
-			reg.Counter("colza.stage.retries", "pipeline", h.pipeline).Inc()
-			sleep := h.backoff(retry, attempt-1)
-			if ra := BusyRetryAfter(err); ra > sleep {
-				sleep = ra
-			}
-			if !h.sleepInterruptible(sleep) {
-				err = ErrHandleClosed
-				break
-			}
-		}
-		resp, err = h.c.call(pb.addr, "stage_batch", frame, timeout)
-		if err == nil || !Retryable(err) {
-			break
-		}
-	}
-	rpcNs := time.Since(start).Nanoseconds()
-	cls.Release(bulk)
-	bufpool.Put(frame)
+	sp := reg.StartSpan("stage", SpanKeyFor(h.pipeline, pb.it))
+	berrs, rpcNs, err := exchangeStage(h.c.mi.Class(), h.pipeline, pb.it, pb.recs, pb.payload,
+		func(frame []byte) ([]byte, error) { return h.callStage(pb.addr, frame) })
 	if err != nil {
 		sp.End(err)
 		b.finish(pb, err)
-		return
-	}
-	berrs, derr := decodeStageBatchResp(resp, len(pb.blocks))
-	if derr != nil {
-		sp.End(derr)
-		b.finish(pb, derr)
 		return
 	}
 	blockErr := make(map[int]stageBatchBlockErr, len(berrs))
@@ -388,7 +343,7 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 			share = rpcNs * int64(blk.rec.PayloadLen) / int64(totalWire)
 		}
 		h.codec.recordStaged(reg, h.pipeline, pb.it, blk.rec.Meta, blk.orig, blk.dataLen,
-			blk.rec.CI, blk.used.c, blk.rec.PayloadLen, blk.used.encNs, share)
+			blk.rec.CI, blk.used, blk.rec.PayloadLen, share)
 		h.stagedCounters(reg).add(blk.dataLen)
 		if blk.orig != nil {
 			bufpool.Put(blk.orig)
@@ -400,9 +355,9 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 }
 
 // completeError settles one demultiplexed block failure. A delta base
-// mismatch re-stages the block self-contained through the per-block path
-// (the batch's own window slot bounds this work); anything else is final
-// for the block but invisible to its batch-mates.
+// mismatch re-stages the block self-contained as a batch of one (the
+// batch's own window slot bounds this work); anything else is final for
+// the block but invisible to its batch-mates.
 func (b *stageBatcher) completeError(pb *pendingBatch, blk *pendingBlock, e stageBatchBlockErr) {
 	h := b.h
 	reg := h.c.observer()
@@ -419,7 +374,7 @@ func (b *stageBatcher) completeError(pb *pendingBatch, blk *pendingBlock, e stag
 		blk.orig = nil
 	}
 	reg.Counter("colza.stage.failed", "pipeline", h.pipeline).Inc()
-	b.resolveBlock(blk, fmt.Errorf("colza: stage block %d on %s: %s", blk.rec.Meta.BlockID, pb.addr, e.Msg))
+	b.resolveBlock(blk, fmt.Errorf("colza: stage block %d on %s: %w", blk.rec.Meta.BlockID, pb.addr, e.remote()))
 }
 
 // flush dispatches every pending batch, waits for all in-flight sends to

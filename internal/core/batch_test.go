@@ -35,8 +35,8 @@ func (f *failBlockPipeline) Stage(it uint64, meta BlockMeta, data []byte) error 
 }
 
 func (f *failBlockPipeline) Execute(it uint64) (ExecResult, error) { return ExecResult{}, nil }
-func (f *failBlockPipeline) Deactivate(it uint64) error           { return nil }
-func (f *failBlockPipeline) Destroy() error                       { return nil }
+func (f *failBlockPipeline) Deactivate(it uint64) error            { return nil }
+func (f *failBlockPipeline) Destroy() error                        { return nil }
 
 func init() {
 	RegisterPipelineType("failblock", func(cfg json.RawMessage) (Backend, error) {
@@ -210,59 +210,99 @@ func TestNBStageBatchedResolvesOnBatchCompletion(t *testing.T) {
 	}
 }
 
+// TestStageBatchedPerBlockErrorDemux: a block the backend rejects fails
+// alone on every stage sender — its neighbours land, and the rejection
+// carries the backend's message, counts colza.stage.failed once and never
+// burns a stage retry. Batched sync Stage defers the failure to the
+// barrier; unbatched and solo Stage return it at once; NBStage resolves it
+// on the block's own Async.
 func TestStageBatchedPerBlockErrorDemux(t *testing.T) {
-	d := deploy(t, 1)
-	if err := d.admin.CreatePipeline(d.servers[0].Addr(), "fb", "failblock", nil); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	d.client.SetObserver(reg)
-	h := d.client.Handle("fb", d.servers[0].Addr())
-	h.SetTimeout(2 * time.Second)
-	h.SetBatching(BatchConfig{MaxBlocks: 64, MaxAge: -1})
-	t.Cleanup(h.Close)
+	for _, mode := range []string{"batched", "unbatched", "solo"} {
+		t.Run(mode, func(t *testing.T) {
+			d := deploy(t, 1)
+			if err := d.admin.CreatePipeline(d.servers[0].Addr(), "fb", "failblock", nil); err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			d.client.SetObserver(reg)
+			meta := func(b int) BlockMeta { return BlockMeta{Field: "v", BlockID: b, Type: "raw"} }
+			var h interface {
+				Stage(it uint64, meta BlockMeta, data []byte) error
+				NBStage(it uint64, meta BlockMeta, data []byte) *Async
+			}
+			barrier := func() error { return nil }
+			if mode == "solo" {
+				sh := d.client.SoloHandle("fb", d.servers[0].Addr())
+				sh.SetTimeout(2 * time.Second)
+				if err := sh.Activate(1); err != nil {
+					t.Fatal(err)
+				}
+				h = sh
+			} else {
+				dh := d.client.Handle("fb", d.servers[0].Addr())
+				dh.SetTimeout(2 * time.Second)
+				if mode == "batched" {
+					dh.SetBatching(BatchConfig{MaxBlocks: 64, MaxAge: -1})
+				}
+				t.Cleanup(dh.Close)
+				if _, err := dh.Activate(1); err != nil {
+					t.Fatal(err)
+				}
+				h, barrier = dh, func() error { return dh.Flush(1) }
+			}
+			isBlockFailure := func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "synthetic stage failure")
+			}
 
-	if _, err := h.Activate(1); err != nil {
-		t.Fatal(err)
-	}
-	// Block 1 fails on the backend; blocks 0, 2, 3 share its frame and must
-	// land anyway, with the failure surfacing at the barrier.
-	for b := 0; b < 4; b++ {
-		if err := h.Stage(1, BlockMeta{Field: "v", BlockID: b, Type: "raw"}, bytes.Repeat([]byte{byte(b)}, 16)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := h.Flush(1)
-	if err == nil || !strings.Contains(err.Error(), "synthetic stage failure") {
-		t.Fatalf("flush error = %v, want the synthetic block failure", err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["colza.stage.blocks{pipeline=fb}"]; got != 3 {
-		t.Errorf("stage.blocks = %d, want 3", got)
-	}
-	if got := snap.Counters["colza.stage.failed{pipeline=fb}"]; got != 1 {
-		t.Errorf("stage.failed = %d, want 1", got)
-	}
-	// One bad block must not burn a whole-batch retry for its batch-mates.
-	if got := snap.Counters["colza.stage.retries{pipeline=fb}"]; got != 0 {
-		t.Errorf("stage.retries = %d, want 0", got)
-	}
-	if got := d.servers[0].Obs.Snapshot().Counters["colza.staged.blocks{pipeline=fb}"]; got != 3 {
-		t.Errorf("server staged %d blocks, want 3", got)
-	}
+			// Block 1 fails on the backend; blocks 0, 2, 3 (its batch-mates
+			// when batched) must land anyway.
+			for b := 0; b < 4; b++ {
+				err := h.Stage(1, meta(b), bytes.Repeat([]byte{byte(b)}, 16))
+				switch {
+				case b == 1 && mode != "batched":
+					if !isBlockFailure(err) || Classify(err) != ClassRemote {
+						t.Fatalf("stage of the rejected block = %v (class %v), want the backend's remote error", err, Classify(err))
+					}
+				case err != nil:
+					t.Fatalf("stage %d: %v", b, err)
+				}
+			}
+			if err := barrier(); mode == "batched" && !isBlockFailure(err) {
+				t.Fatalf("flush error = %v, want the synthetic block failure", err)
+			} else if mode != "batched" && err != nil {
+				t.Fatalf("flush = %v, want nil: unbatched failures never reach the barrier", err)
+			}
+			if mode != "solo" {
+				snap := reg.Snapshot()
+				if got := snap.Counters["colza.stage.blocks{pipeline=fb}"]; got != 3 {
+					t.Errorf("stage.blocks = %d, want 3", got)
+				}
+				if got := snap.Counters["colza.stage.failed{pipeline=fb}"]; got != 1 {
+					t.Errorf("stage.failed = %d, want 1", got)
+				}
+				// One bad block must not burn a retry, for itself or its
+				// batch-mates.
+				if got := snap.Counters["colza.stage.retries{pipeline=fb}"]; got != 0 {
+					t.Errorf("stage.retries = %d, want 0", got)
+				}
+			}
+			if got := d.servers[0].Obs.Snapshot().Counters["colza.staged.blocks{pipeline=fb}"]; got != 3 {
+				t.Errorf("server staged %d blocks, want 3", got)
+			}
 
-	// The NBStage flavor: the failing block's own Async carries the error,
-	// its batch-mates resolve nil, and the next barrier is clean.
-	bad := h.NBStage(1, BlockMeta{Field: "v", BlockID: 1, Type: "raw"}, []byte{1})
-	good := h.NBStage(1, BlockMeta{Field: "v", BlockID: 2, Type: "raw"}, []byte{2})
-	if err := h.Flush(1); err != nil {
-		t.Fatalf("NBStage failures must not reach the barrier: %v", err)
-	}
-	if _, err := bad.Wait(); err == nil || !strings.Contains(err.Error(), "synthetic stage failure") {
-		t.Fatalf("failing block async = %v", err)
-	}
-	if _, err := good.Wait(); err != nil {
-		t.Fatalf("batch-mate async = %v", err)
+			// The NBStage flavor: the failing block's own Async carries the
+			// error, its neighbour resolves nil, and the barrier is clean.
+			bad, good := h.NBStage(1, meta(1), []byte{1}), h.NBStage(1, meta(2), []byte{2})
+			if err := barrier(); err != nil {
+				t.Fatalf("NBStage failures must not reach the barrier: %v", err)
+			}
+			if _, err := bad.Wait(); !isBlockFailure(err) {
+				t.Fatalf("failing block async = %v", err)
+			}
+			if _, err := good.Wait(); err != nil {
+				t.Fatalf("neighbour async = %v", err)
+			}
+		})
 	}
 }
 
@@ -316,26 +356,6 @@ func TestStageBatchedDeltaMismatchFallback(t *testing.T) {
 	}
 	if got := d.servers[0].Obs.Snapshot().Counters["codec.delta.mismatch{pipeline=viz}"]; got < 1 {
 		t.Errorf("server mismatch counter = %d, want >= 1", got)
-	}
-}
-
-func TestStageBatchedServerRefusal(t *testing.T) {
-	d := deploy(t, 1)
-	d.createEverywhere(t, "viz")
-	h, _ := batchedHandle(t, d, BatchConfig{MaxBlocks: 2, MaxAge: -1})
-	d.servers[0].Provider.SetStageBatch(false)
-
-	if _, err := h.Activate(1); err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 2; b++ {
-		if err := h.Stage(1, BlockMeta{Field: "v", BlockID: b, Type: "raw"}, []byte{byte(b)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := h.Flush(1)
-	if err == nil || !strings.Contains(err.Error(), "batched staging disabled") {
-		t.Fatalf("flush against a batch-refusing server = %v", err)
 	}
 }
 
@@ -538,6 +558,38 @@ func TestStageCloseCancelsRetryBackoff(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stage still sleeping its backoff 5s after the handle closed")
+	}
+}
+
+// TestActivateCloseCancelsRetryBackoff: an Activate backing off between
+// view retries against an unreachable contact returns promptly, with
+// ErrHandleClosed, when the handle closes.
+func TestActivateCloseCancelsRetryBackoff(t *testing.T) {
+	d := deploy(t, 1)
+	h := d.client.Handle("viz", "inproc://nowhere")
+	h.SetTimeout(time.Second)
+	h.mu.Lock()
+	h.viewRetry = RetryPolicy{Max: 8, Base: 30 * time.Second, Cap: 60 * time.Second}
+	h.mu.Unlock()
+
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := h.Activate(1)
+		errCh <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the first refresh fail and the backoff start
+	start := time.Now()
+	h.Close()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, ErrHandleClosed) {
+			t.Fatalf("activate returned %v, want ErrHandleClosed", err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("activate took %v after close, want prompt return", elapsed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("activate still sleeping its backoff 5s after the handle closed")
 	}
 }
 

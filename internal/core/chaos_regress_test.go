@@ -280,7 +280,7 @@ func TestErrorClassification(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
 	// Remote: handler ran and refused (stage without an active iteration).
-	msg := appendStageMsg(nil, "viz", 9, BlockMeta{}, stageCodecInfo{}, mercury.Bulk{})
+	msg := appendStageBatchMsg(nil, "viz", 9, []stageBatchRec{{}}, mercury.Bulk{})
 	_, err := d.clientM.CallProvider(d.servers[0].Addr(), ProviderID, "stage", msg, time.Second)
 	if Classify(err) != ClassRemote || Retryable(err) {
 		t.Fatalf("remote refusal classified as %v retryable=%v", Classify(err), Retryable(err))
@@ -393,7 +393,7 @@ func TestDeferredLeaveMigratesOnceAndRejectsPrepare(t *testing.T) {
 	h2 := d.client.Handle("idle", d.servers[0].Addr())
 	h2.SetTimeout(time.Second)
 	h2.mu.Lock()
-	h2.retries = 2
+	h2.viewRetry.Max = 2
 	h2.mu.Unlock()
 	_, err := h2.Activate(7)
 	if !errors.Is(err, ErrActivateFailed) || !strings.Contains(err.Error(), "leaving") {

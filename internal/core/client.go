@@ -10,9 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"colza/internal/bufpool"
 	"colza/internal/margo"
-	"colza/internal/mercury"
 	"colza/internal/obs"
 )
 
@@ -257,7 +255,6 @@ type DistributedPipelineHandle struct {
 	view       MemberView
 	placement  PlacementPolicy
 	timeout    time.Duration
-	retries    int
 	stageRetry RetryPolicy
 	viewRetry  RetryPolicy
 	rng        *rand.Rand
@@ -303,7 +300,6 @@ func (c *Client) Handle(pipeline, contact string) *DistributedPipelineHandle {
 		contact:    contact,
 		placement:  DefaultPlacement,
 		timeout:    10 * time.Second,
-		retries:    8,
 		stageRetry: DefaultStageRetry,
 		viewRetry:  DefaultViewRetry,
 		rng:        rand.New(rand.NewSource(1)),
@@ -351,8 +347,9 @@ func (h *DistributedPipelineHandle) sleepInterruptible(d time.Duration) bool {
 // SetBatching engages the coalescing stage batcher: blocks bound for the
 // same server rank ride one multi-block frame, flushed on size/age/count
 // triggers and drained by Flush/Execute/Deactivate. Off by default — an
-// unbatched handle stages on the v2 wire path, byte for byte. The first
-// call wins; reconfiguring a live batcher is not supported.
+// unbatched handle stages each block as a batch of one, straight from the
+// caller's buffer. The first call wins; reconfiguring a live batcher is
+// not supported.
 func (h *DistributedPipelineHandle) SetBatching(cfg BatchConfig) {
 	h.batchMu.Lock()
 	defer h.batchMu.Unlock()
@@ -537,15 +534,12 @@ func (h *DistributedPipelineHandle) cleanupBroadcast(view MemberView, rpc string
 //
 // If the group has no churn the first attempt succeeds (the paper's
 // "no overhead if the group hasn't changed"); under churn the client
-// refreshes its view and retries.
+// refreshes its view and retries under the handle's view RetryPolicy.
+// Close cuts a backoff short: Activate then fails with ErrHandleClosed.
 func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ error) {
 	h.mu.Lock()
 	timeout := h.timeout
-	retries := h.retries
 	view := h.view
-	h.mu.Unlock()
-
-	h.mu.Lock()
 	viewRetry := h.viewRetry
 	h.mu.Unlock()
 
@@ -554,15 +548,18 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 	defer func() { sp.End(err_) }()
 
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < viewRetry.attempts(); attempt++ {
 		if attempt > 0 {
 			reg.Counter("colza.activate.retries", "pipeline", h.pipeline).Inc()
+			// Back off to let gossip converge before the next round.
+			if !h.sleepInterruptible(h.backoff(viewRetry, attempt-1)) {
+				return MemberView{}, fmt.Errorf("colza: activate aborted (last error: %v): %w", lastErr, ErrHandleClosed)
+			}
 		}
 		if attempt > 0 || len(view.Members) == 0 {
 			v, err := h.refreshView(timeout)
 			if err != nil {
 				lastErr = err
-				time.Sleep(h.backoff(viewRetry, attempt))
 				continue
 			}
 			view = v
@@ -579,11 +576,10 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 		}
 		// A failed round means our picture of the group is suspect: drop
 		// the cached info of every proposed member so the next round
-		// re-resolves addresses, then back off to let gossip converge.
+		// re-resolves addresses.
 		for _, m := range view.Members {
 			h.c.evictInfo(m.RPC)
 		}
-		time.Sleep(h.backoff(viewRetry, attempt))
 		view = MemberView{}
 	}
 	return MemberView{}, fmt.Errorf("%w: %v", ErrActivateFailed, lastErr)
@@ -635,9 +631,10 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 	return true, nil
 }
 
-// Stage exposes data and asks the selected server to pull it. The data
-// buffer must stay unchanged until Stage returns (RDMA semantics); it is
-// not copied on the client side.
+// Stage exposes data and asks the selected server to pull it. Unbatched,
+// the block travels as a batch of one whose bulk handle exposes data
+// itself: it is not copied on the client side, and the data buffer must
+// stay unchanged until Stage returns (RDMA semantics).
 // The stage RPC is retried under the handle's RetryPolicy on transient
 // failures (timeouts, unreachable server). A retry after a timeout may
 // duplicate a block the server already pulled, so staging is at-least-once:
@@ -655,16 +652,13 @@ func (h *DistributedPipelineHandle) Stage(it uint64, meta BlockMeta, data []byte
 	return h.stageBlock(it, meta, data, false)
 }
 
-// stageBlock is the per-block stage path: one frame, one RPC, retried
-// under the handle's policy. zeroBase forces a self-contained delta encode
-// from the first attempt (the batch path's mismatch fallback re-enters
-// here).
+// stageBlock stages one block as a batch of one on the rank placement
+// selects. zeroBase forces a self-contained delta encode from the first
+// attempt (the batcher's mismatch fallback enters here).
 func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data []byte, zeroBase bool) (err_ error) {
 	h.mu.Lock()
 	view := h.view
 	placement := h.placement
-	timeout := h.timeout
-	retry := h.stageRetry
 	h.mu.Unlock()
 	reg := h.c.observer()
 	sp := reg.StartSpan("stage", SpanKeyFor(h.pipeline, it))
@@ -676,78 +670,44 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 	if target < 0 || target >= len(view.Members) {
 		return fmt.Errorf("colza: placement selected invalid rank %d", target)
 	}
-	cls := h.c.mi.Class()
-	// With no codec engaged wire IS data (raw passthrough, nothing pooled);
-	// otherwise the block is compressed into a pooled buffer and the bulk
-	// handle exposes the encoded bytes — the server's pull carries the
-	// compressed payload.
-	var (
-		wire       []byte
-		pooledWire bool
-		ci         stageCodecInfo
-		used       codecUsed
-		bulk       = mercury.Bulk{}
-		payload    []byte
-	)
-	setup := func(zeroBase bool) {
-		if h.codec.enabled() {
-			wire, pooledWire, ci, used.c, used.encNs = h.codec.encodeStage(h.pipeline, it, meta, data, zeroBase)
-		} else {
-			wire, pooledWire, ci, used.c, used.encNs = data, false, stageCodecInfo{Uncompressed: uint64(len(data))}, nil, 0
-		}
-		bulk = cls.Expose(wire)
-		payload = appendStageMsg(bufpool.Get(stageMsgSize(h.pipeline, meta, bulk))[:0], h.pipeline, it, meta, ci, bulk)
+	addr := view.Members[target].RPC
+	err := h.codec.stageOne(reg, h.c.mi.Class(), h.pipeline, it, meta, data, zeroBase,
+		func(frame []byte) ([]byte, error) { return h.callStage(addr, frame) })
+	if err != nil {
+		reg.Counter("colza.stage.failed", "pipeline", h.pipeline).Inc()
+		return fmt.Errorf("colza: stage block %d on %s: %w", meta.BlockID, addr, err)
 	}
-	teardown := func() {
-		cls.Release(bulk)
-		bufpool.Put(payload)
-		if pooledWire {
-			bufpool.Put(wire)
-		}
-	}
-	setup(zeroBase)
-	defer func() { teardown() }()
-	var err error
+	h.stagedCounters(reg).add(len(data))
+	return nil
+}
+
+// callStage sends one stage frame to addr under the handle's stage
+// RetryPolicy: a transport-level failure (the frame never landed or never
+// answered) resends the whole frame after a jittered backoff that honors a
+// busy server's Retry-After hint and aborts when the handle closes, so a
+// deactivating client does not serve out the whole schedule.
+func (h *DistributedPipelineHandle) callStage(addr string, frame []byte) (resp []byte, err error) {
+	h.mu.Lock()
+	timeout := h.timeout
+	retry := h.stageRetry
+	h.mu.Unlock()
 	for attempt := 0; attempt < retry.attempts(); attempt++ {
 		if attempt > 0 {
-			reg.Counter("colza.stage.retries", "pipeline", h.pipeline).Inc()
+			h.c.observer().Counter("colza.stage.retries", "pipeline", h.pipeline).Inc()
 			sleep := h.backoff(retry, attempt-1)
-			// A busy server named its price; never retry sooner than its
-			// Retry-After hint.
 			if ra := BusyRetryAfter(err); ra > sleep {
 				sleep = ra
 			}
-			// The backoff aborts when the handle closes mid-sleep: a
-			// deactivating client must not serve out the whole schedule.
 			if !h.sleepInterruptible(sleep) {
-				err = fmt.Errorf("colza: stage aborted: %w", ErrHandleClosed)
-				break
+				return nil, fmt.Errorf("colza: stage aborted: %w", ErrHandleClosed)
 			}
 		}
-		start := time.Now()
-		_, err = h.c.call(view.Members[target].RPC, "stage", payload, timeout)
-		if err == nil {
-			h.codec.recordSuccess(reg, h.pipeline, it, meta, data, ci, used.c, len(wire), used.encNs, time.Since(start).Nanoseconds())
-			h.stagedCounters(reg).add(len(data))
-			return nil
-		}
-		if isDeltaBaseMismatch(err) && ci.HasBase {
-			// The server no longer holds our base (evicted, invalidated, or a
-			// duplicate of this block already advanced it). Re-encode
-			// self-contained and keep retrying — at-least-once staging may
-			// cost a fallback round-trip but never decodes against wrong
-			// state.
-			reg.Counter("codec.delta.fallback", "pipeline", h.pipeline).Inc()
-			teardown()
-			setup(true)
-			continue
-		}
-		if !Retryable(err) {
+		resp, err = h.c.call(addr, "stage", frame, timeout)
+		if err == nil || !Retryable(err) {
 			break
 		}
 	}
-	reg.Counter("colza.stage.failed", "pipeline", h.pipeline).Inc()
-	return fmt.Errorf("colza: stage block %d on %s: %w", meta.BlockID, view.Members[target].RPC, err)
+	return resp, err
 }
 
 // Execute triggers the pipeline's analysis on every server and returns the

@@ -170,10 +170,6 @@ type Provider struct {
 	codecOut       map[uint8]*obs.Counter
 	deltas         *codec.DeltaState
 
-	// batchOff refuses stage_batch frames (operator toggle for wire-compat
-	// debugging; the per-block v2 path is unaffected).
-	batchOff atomic.Bool
-
 	// migrateSleep, when non-nil, replaces time.Sleep in the migrate retry
 	// so dessim-style tests cover the backoff without real sleeps;
 	// migrateRNG draws its jitter (leave-time migration runs on a single
@@ -201,7 +197,7 @@ func (p *Provider) SetObserver(r *obs.Registry) {
 	r.Gauge("core.state.replica.lag")
 	// Pre-create the per-codec wire counters (server side: bytes.in is wire
 	// bytes pulled, bytes.out is decoded bytes handed to the backend) and
-	// cache the instruments so handleStage bumps them allocation-free.
+	// cache the instruments so the stage handler bumps them allocation-free.
 	in := make(map[uint8]*obs.Counter)
 	out := make(map[uint8]*obs.Counter)
 	for _, c := range codec.All() {
@@ -238,8 +234,7 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 	mi.RegisterProviderRPC(ProviderID, "prepare", p.handlePrepare)
 	mi.RegisterProviderRPC(ProviderID, "commit", p.handleCommit)
 	mi.RegisterProviderRPC(ProviderID, "abort", p.handleAbort)
-	mi.RegisterProviderRPC(ProviderID, "stage", p.handleStage)
-	mi.RegisterProviderRPC(ProviderID, "stage_batch", p.handleStageBatch)
+	mi.RegisterProviderRPC(ProviderID, "stage", p.handleStageBatch)
 	mi.RegisterProviderRPC(ProviderID, "execute", p.handleExecute)
 	mi.RegisterProviderRPC(ProviderID, "deactivate", p.handleDeactivate)
 	mi.RegisterProviderRPC(ProviderID, "members", p.handleMembers)
@@ -278,7 +273,7 @@ func (p *Provider) BindPools(control, data *margo.Pool) {
 	// them off the control pool removes the mutual-wait cycle two servers
 	// checkpointing to each other would otherwise risk under a saturated
 	// control stream.
-	for _, rpc := range []string{"stage", "stage_batch", "execute",
+	for _, rpc := range []string{"stage", "execute",
 		"migrate_state", "checkpoint_state", "checkpoint_discard"} {
 		p.mi.BindRPCPool(margo.ProviderRPCName(ProviderID, rpc), data)
 	}
@@ -565,116 +560,15 @@ func (p *Provider) handleAbort(req mercury.Request) ([]byte, error) {
 	return []byte("ok"), nil
 }
 
-// handleStage pulls the staged block from the simulation's memory (bulk
-// RDMA) and hands it to the pipeline. The pull carries whatever the client
-// exposed — for a compressed frame that is the encoded payload, which is
-// decoded (and delta-reconstructed) into a second pooled buffer here before
-// the backend borrows it.
-func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
-	pipeline, iteration, meta, ci, bulk, err := decodeStageMsg(req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	p.codecMu.RLock()
-	accepted := p.acceptedCodecs[ci.CodecID]
-	ctrIn, ctrOut := p.codecIn[ci.CodecID], p.codecOut[ci.CodecID]
-	p.codecMu.RUnlock()
-	c, known := codec.ByID(ci.CodecID)
-	if !known || !accepted {
-		return nil, fmt.Errorf("colza: stage codec %d not accepted by %s", ci.CodecID, p.mi.Addr())
-	}
-	slot, err := p.slot(pipeline)
-	if err != nil {
-		return nil, err
-	}
-	st, err := slot.enter(iteration, "stage")
-	if err != nil {
-		return nil, err
-	}
-	defer st.inflight.Done()
-	reg := p.observer()
-	sp := reg.StartSpan("srv.stage", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
-	// Pull the block into a pooled buffer sized from the bulk descriptor and
-	// recycle it once the backend returns: Backend.Stage only borrows the
-	// data for the duration of the call (backends decode into their own
-	// structures), so no alias survives the Put.
-	data := bufpool.Get(int(bulk.Size))
-	if err := p.mi.Class().PullBulkInto(bulk, data); err != nil {
-		bufpool.Put(data)
-		err = fmt.Errorf("colza: pulling staged block: %w", err)
-		sp.End(err)
-		return nil, err
-	}
-	wireLen := len(data)
-	if ci.CodecID == codec.RawID {
-		// Raw frames pass the pulled buffer straight through; the claimed
-		// uncompressed length must agree with what was actually pulled.
-		if ci.Uncompressed != uint64(len(data)) || ci.HasBase {
-			bufpool.Put(data)
-			err = fmt.Errorf("%w: raw frame length mismatch", ErrStageWire)
-			sp.End(err)
-			return nil, err
-		}
-	} else {
-		buf := bufpool.Get(int(ci.Uncompressed))
-		dec, derr := c.Decode(buf[:0], data, int(ci.Uncompressed))
-		bufpool.Put(data)
-		if derr != nil {
-			bufpool.Put(buf)
-			err = fmt.Errorf("colza: stage decode (%s): %w", c.Name(), derr)
-			sp.End(err)
-			return nil, err
-		}
-		data = dec
-		if ci.HasBase {
-			// The payload is an XOR against a specific prior iteration; it
-			// only reconstructs correctly against exactly that base. A miss
-			// (evicted, invalidated, or advanced by a duplicate) is reported
-			// to the client, which falls back to a self-contained resend —
-			// never a silent wrong-bytes decode.
-			key := codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}
-			if !p.deltas.XORBase(key, ci.DeltaBase, data) {
-				bufpool.Put(data)
-				reg.Counter("codec.delta.mismatch", "pipeline", pipeline).Inc()
-				err = fmt.Errorf("%s: pipeline %q block %d base %d", deltaMismatchText, pipeline, meta.BlockID, ci.DeltaBase)
-				sp.End(err)
-				return nil, err
-			}
-		}
-	}
-	if ci.Remember {
-		p.deltas.Remember(codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}, iteration, data)
-	}
-	err = slot.backend.Stage(iteration, meta, data)
-	n := len(data)
-	bufpool.Put(data)
-	if err != nil {
-		sp.End(err)
-		return nil, err
-	}
-	if ctrIn != nil {
-		ctrIn.Add(int64(wireLen))
-		ctrOut.Add(int64(n))
-	}
-	slot.stagedCounters(reg).add(n)
-	sp.End(nil)
-	return []byte("ok"), nil
-}
-
-// SetStageBatch toggles acceptance of batched stage frames (stagewire v3).
-// Accepted by default; refusing them never affects the per-block v2 path.
-func (p *Provider) SetStageBatch(accept bool) { p.batchOff.Store(!accept) }
-
-// handleStageBatch pulls a multi-block batch in one bulk transfer and
-// hands each block to the pipeline. Frame-level problems (malformed frame,
-// unknown pipeline, inactive iteration, failed pull, unaccepted codec) are
-// RPC errors — the client's whole-batch retry machinery applies. Per-block
-// decode and backend failures are demultiplexed into the response instead,
-// so one bad block cannot fail or re-send its batch-mates.
+// handleStageBatch serves the stage RPC: it pulls every block of a frame
+// in one bulk transfer — the client's own buffer for a single block, its
+// batch buffer otherwise — and hands each block to the pipeline. Frame-level
+// problems (malformed frame, unknown pipeline, inactive iteration, failed
+// pull, unaccepted codec) are RPC errors — the client's retry machinery
+// applies. Per-block decode and backend failures are demultiplexed into the
+// response instead, so one bad block cannot fail or re-send its
+// batch-mates.
 func (p *Provider) handleStageBatch(req mercury.Request) ([]byte, error) {
-	if p.batchOff.Load() {
-		return nil, fmt.Errorf("colza: batched staging disabled on %s", p.mi.Addr())
-	}
 	pipeline, iteration, recs, bulk, err := decodeStageBatchMsg(req.Payload)
 	if err != nil {
 		return nil, err
@@ -693,17 +587,17 @@ func (p *Provider) handleStageBatch(req mercury.Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := slot.enter(iteration, "stage_batch")
+	st, err := slot.enter(iteration, "stage")
 	if err != nil {
 		return nil, err
 	}
 	defer st.inflight.Done()
 	reg := p.observer()
-	sp := reg.StartSpan("srv.stage_batch", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
+	sp := reg.StartSpan("srv.stage", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
 	data := bufpool.Get(int(bulk.Size))
 	if err := p.mi.Class().PullBulkInto(bulk, data); err != nil {
 		bufpool.Put(data)
-		err = fmt.Errorf("colza: pulling staged batch: %w", err)
+		err = fmt.Errorf("colza: pulling staged blocks: %w", err)
 		sp.End(err)
 		return nil, err
 	}
@@ -723,11 +617,11 @@ func (p *Provider) handleStageBatch(req mercury.Request) ([]byte, error) {
 	return appendStageBatchResp(make([]byte, 0, stageBatchRespSize(blockErrs)), blockErrs), nil
 }
 
-// stageBatchedBlock decodes one batched record's payload slice and hands
-// it to the backend — the per-block half of handleStage, with the error
-// mapped to a demux kind instead of failing the RPC. wire aliases the
-// batch's pulled buffer; decode targets draw their own pooled buffer and
-// are recycled before return.
+// stageBatchedBlock decodes one record's payload slice and hands it to the
+// backend, with the error mapped to a demux kind instead of failing the
+// RPC. wire aliases the frame's pulled buffer; decode targets draw their
+// own pooled buffer and are recycled before return. Backend.Stage only
+// borrows the data for the duration of the call, so no alias survives.
 func (p *Provider) stageBatchedBlock(slot *pipelineSlot, pipeline string, iteration uint64, r stageBatchRec, wire []byte, reg *obs.Registry) (uint8, error) {
 	ci, meta := r.CI, r.Meta
 	c, _ := codec.ByID(ci.CodecID) // screened at the frame level
@@ -747,6 +641,11 @@ func (p *Provider) stageBatchedBlock(slot *pipelineSlot, pipeline string, iterat
 		data = dec
 		pooled = true
 		if ci.HasBase {
+			// The payload is an XOR against a specific prior iteration; it
+			// only reconstructs correctly against exactly that base. A miss
+			// (evicted, invalidated, or advanced by a duplicate) is reported
+			// to the client, which falls back to a self-contained resend —
+			// never a silent wrong-bytes decode.
 			key := codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}
 			if !p.deltas.XORBase(key, ci.DeltaBase, data) {
 				bufpool.Put(data)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"colza/internal/bufpool"
 	"colza/internal/mercury"
 )
 
@@ -122,49 +121,17 @@ func (h *PipelineHandle) SetCodec(name string) error { return h.codec.setCodec(n
 // SetCodecAdaptive lets the adaptive controller pick the codec per block.
 func (h *PipelineHandle) SetCodecAdaptive(on bool) { h.codec.setAdaptive(on) }
 
-// Stage exposes data for the server to pull.
+// Stage exposes data for the server to pull, as a batch of one in a
+// single attempt; data must stay unchanged until Stage returns (RDMA
+// semantics).
 func (h *PipelineHandle) Stage(it uint64, meta BlockMeta, data []byte) error {
 	h.mu.Lock()
 	timeout := h.timeout
 	h.mu.Unlock()
-	cls := h.c.mi.Class()
-	stageOnce := func(zeroBase bool) (stageCodecInfo, codecUsed, int, int64, error) {
-		var (
-			wire       []byte
-			pooledWire bool
-			ci         stageCodecInfo
-			used       codecUsed
-		)
-		if h.codec.enabled() {
-			wire, pooledWire, ci, used.c, used.encNs = h.codec.encodeStage(h.pipeline, it, meta, data, zeroBase)
-		} else {
-			wire, ci = data, stageCodecInfo{Uncompressed: uint64(len(data))}
-		}
-		bulk := cls.Expose(wire)
-		// The stage frame is binary (see stagewire.go) and pooled: CallProvider
-		// is synchronous and the transport copies on send, so the frame can be
-		// recycled as soon as the call returns — even across its retries.
-		payload := appendStageMsg(bufpool.Get(stageMsgSize(h.pipeline, meta, bulk))[:0], h.pipeline, it, meta, ci, bulk)
-		start := time.Now()
-		_, err := h.c.mi.CallProvider(h.server, ProviderID, "stage", payload, timeout)
-		rpcNs := time.Since(start).Nanoseconds()
-		cls.Release(bulk)
-		bufpool.Put(payload)
-		n := len(wire)
-		if pooledWire {
-			bufpool.Put(wire)
-		}
-		return ci, used, n, rpcNs, err
-	}
-	ci, used, wireLen, rpcNs, err := stageOnce(false)
-	if isDeltaBaseMismatch(err) && ci.HasBase {
-		// The server lost our delta base; resend self-contained.
-		ci, used, wireLen, rpcNs, err = stageOnce(true)
-	}
-	if err == nil {
-		h.codec.recordSuccess(h.c.observer(), h.pipeline, it, meta, data, ci, used.c, wireLen, used.encNs, rpcNs)
-	}
-	return err
+	return h.codec.stageOne(h.c.observer(), h.c.mi.Class(), h.pipeline, it, meta, data, false,
+		func(frame []byte) ([]byte, error) {
+			return h.c.mi.CallProvider(h.server, ProviderID, "stage", frame, timeout)
+		})
 }
 
 // Execute runs the pipeline on the single server.

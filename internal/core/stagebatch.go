@@ -6,12 +6,14 @@ import (
 	"colza/internal/mercury"
 )
 
-// The batched stage path (DESIGN.md §12) coalesces every block bound for
-// the same server rank into one stage_batch RPC: a v3 frame carrying a
-// count-prefixed list of per-block records — each reusing the v2 codec
-// block and metadata layout — followed by ONE bulk handle over the
-// concatenation of the encoded payloads. The server does a single pull and
-// slices it by the records' payload lengths.
+// Every staged block rides one frame format (DESIGN.md §7.3, §12): the
+// stage RPC carries a v3 frame with a count-prefixed list of per-block
+// records — codec envelope and block metadata — followed by ONE bulk handle
+// over the concatenation of the encoded payloads. The server does a single
+// pull and slices it by the records' payload lengths. A synchronous
+// unbatched Stage is a batch of one whose bulk handle exposes the caller's
+// own buffer; the batcher coalesces every block bound for the same server
+// rank into one frame.
 //
 // Layout (little-endian):
 //
@@ -35,12 +37,12 @@ import (
 //
 // Payload offsets are implicit: record i's payload starts where record
 // i-1's ended, and the lengths must sum to exactly the bulk size. Every
-// per-record bound of the v2 format holds per block (64 MiB uncompressed
-// ceiling), so batching never weakens the decode limits.
+// per-record bound holds per block (64 MiB uncompressed ceiling), however
+// many records a frame carries. Versions 1 and 2 (one block per frame) are
+// retired and fail to decode with ErrStageWire.
 //
-// The response is NOT the bare "ok" of the v2 path: block failures are
-// demultiplexed per index so one bad block cannot fail its batch-mates
-// (see appendStageBatchResp).
+// Block failures are demultiplexed per index in the response so one bad
+// block cannot fail its batch-mates (see appendStageBatchResp).
 
 const stageBatchWireVersion = 3
 
@@ -53,8 +55,8 @@ const maxStageBatchBlocks = 65536
 // within 2x the uncompressed ceiling for every registered codec.
 const maxStageBatchPayload = 2 * maxStageUncompressed
 
-// stageBatchRec is one block's record in a batched stage frame: the v2
-// codec info and metadata plus where its payload ends in the shared bulk.
+// stageBatchRec is one block's record in a stage frame: the codec
+// envelope and metadata plus where its payload ends in the shared bulk.
 type stageBatchRec struct {
 	CI         stageCodecInfo
 	Meta       BlockMeta
@@ -71,8 +73,8 @@ func stageBatchRecSize(r stageBatchRec) int {
 		4 // payload length
 }
 
-// stageBatchMsgSize is the exact encoded size of a batched stage frame,
-// so the assembly buffer can be drawn right-sized from the pool.
+// stageBatchMsgSize is the exact encoded size of a stage frame, so the
+// frame buffer can be drawn right-sized from the pool.
 func stageBatchMsgSize(pipeline string, recs []stageBatchRec, bulk mercury.Bulk) int {
 	n := 1 + // version
 		4 + len(pipeline) +
@@ -85,7 +87,7 @@ func stageBatchMsgSize(pipeline string, recs []stageBatchRec, bulk mercury.Bulk)
 	return n
 }
 
-// appendStageBatchMsg encodes a batched stage frame; with
+// appendStageBatchMsg encodes a stage frame; with
 // stageBatchMsgSize of spare capacity in dst it does not allocate.
 func appendStageBatchMsg(dst []byte, pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk) []byte {
 	dst = append(dst, stageBatchWireVersion)
@@ -123,11 +125,11 @@ func appendStageBatchMsg(dst []byte, pipeline string, it uint64, recs []stageBat
 	return bulk.AppendEncode(dst)
 }
 
-// decodeStageBatchMsg parses a batched stage frame. Records materialize
+// decodeStageBatchMsg parses a stage frame. Records materialize
 // incrementally as parsing succeeds, so a hostile count cannot reserve
-// memory beyond what the input actually carries; every per-record bound of
-// the single-block decoder is enforced per record, and the payload lengths
-// must sum to exactly the bulk size.
+// memory beyond what the input actually carries; every per-record bound is
+// enforced per record, and the payload lengths must sum to exactly the bulk
+// size.
 func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk, err error) {
 	fail := func() (string, uint64, []stageBatchRec, mercury.Bulk, error) {
 		return "", 0, nil, mercury.Bulk{}, ErrStageWire
@@ -228,7 +230,7 @@ func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatc
 
 // --- per-block error demultiplexing response ------------------------------
 
-// A stage_batch RPC succeeds at the frame level whenever the frame decoded,
+// A stage RPC succeeds at the frame level whenever the frame decoded,
 // the pipeline was active, and the bulk pull landed; what each block's
 // decode + backend hand-off did is reported per index in the response. Only
 // frame-level failures are RPC errors (and thus candidates for the client's
@@ -253,6 +255,10 @@ type stageBatchBlockErr struct {
 	Kind  uint8
 	Msg   string
 }
+
+// remote is the error a block's sender sees for a demultiplexed failure:
+// the server answered, so it classifies as ClassRemote and is not retried.
+func (e stageBatchBlockErr) remote() error { return &mercury.RemoteError{Msg: e.Msg} }
 
 // stageBatchRespSize is the exact encoded size of a batch response.
 func stageBatchRespSize(errs []stageBatchBlockErr) int {

@@ -110,8 +110,8 @@ func TestDecodeStageBatchMsgMalformed(t *testing.T) {
 	mutate := func(fn func(b []byte) []byte) []byte {
 		return fn(append([]byte(nil), good...))
 	}
-	// Wrong version byte (a v2 single-block frame must not decode as v3).
-	if _, _, _, _, err := decodeStageBatchMsg(mutate(func(b []byte) []byte { b[0] = stageWireVersion; return b })); err == nil {
+	// Wrong version byte (a retired v2 single-block frame must not decode).
+	if _, _, _, _, err := decodeStageBatchMsg(mutate(func(b []byte) []byte { b[0] = 2; return b })); err == nil {
 		t.Fatal("wrong version accepted")
 	}
 	// Trailing garbage (bulk length no longer spans the rest).
@@ -139,8 +139,8 @@ func TestDecodeStageBatchMsgMalformed(t *testing.T) {
 	if _, _, _, _, err := decodeStageBatchMsg(mutate(func(b []byte) []byte { b[flagOff] |= 0x80; return b })); err == nil {
 		t.Fatal("unknown flag bits accepted")
 	}
-	// An uncompressed length beyond the per-block 64 MiB bound: batching
-	// must not weaken the v2 decode limits.
+	// An uncompressed length beyond the per-block 64 MiB bound: a record
+	// list must not weaken the per-block decode limits.
 	big := batchTestRecs()
 	big[1].CI.Uncompressed = maxStageUncompressed + 1
 	if _, _, _, _, err := decodeStageBatchMsg(appendStageBatchMsg(nil, "p", 1, big, bulk)); err == nil {
@@ -162,8 +162,8 @@ func TestDecodeStageBatchMsgMalformed(t *testing.T) {
 	}
 }
 
-// FuzzStageBatchDecode: the batched decoder fronts the server's stage_batch
-// RPC; arbitrary bytes must never panic, and any frame that decodes must
+// FuzzStageBatchDecode: the frame decoder fronts the server's stage RPC,
+// the only binary RPC on the hot path; arbitrary bytes must never panic, and any frame that decodes must
 // re-encode to exactly itself (so nothing hostile hides in an accepted
 // frame).
 func FuzzStageBatchDecode(f *testing.F) {
@@ -197,22 +197,33 @@ func FuzzStageBatchDecode(f *testing.F) {
 	})
 }
 
-// TestDecodeStageBatchMsgBoundedAllocs: a frame claiming the maximum block
-// count over a near-empty body must allocate for what actually parses, not
-// for the claim.
+// TestDecodeStageBatchMsgBoundedAllocs: malformed frames with huge claimed
+// lengths must allocate for what actually parses, not for the claim.
 func TestDecodeStageBatchMsgBoundedAllocs(t *testing.T) {
-	// version, pipeline "p", iteration, count=65535, then nothing: record 0
-	// fails to parse immediately.
-	frame := []byte{stageBatchWireVersion, 1, 0, 0, 0, 'p', 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0, 0}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, _, _, err := decodeStageBatchMsg(frame); err == nil {
-			t.Fatal("malformed frame accepted")
-		}
-	})
-	// The record slice may be pre-sized (capped well below the claim); the
-	// claim itself must not scale the allocation count.
-	if allocs > 4 {
-		t.Fatalf("malformed decode allocates %.1f times", allocs)
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		allocs float64
+	}{
+		// version, pipeline "p", iteration, count=65535, then nothing:
+		// record 0 fails to parse immediately. The record slice may be
+		// pre-sized (capped well below the claim); the claim itself must
+		// not scale the allocation count.
+		{"huge count", []byte{stageBatchWireVersion, 1, 0, 0, 0, 'p', 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0, 0}, 4},
+		// A pipeline length claiming 2 GiB over a two-byte body fails
+		// before the string is materialized.
+		{"huge pipeline length", []byte{stageBatchWireVersion, 0xFF, 0xFF, 0xFF, 0x7F, 'x', 'y'}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, _, _, _, err := decodeStageBatchMsg(tc.frame); err == nil {
+					t.Fatalf("%s: malformed frame accepted", tc.name)
+				}
+			})
+			if allocs > tc.allocs {
+				t.Errorf("%s: malformed decode allocates %.1f times, want <= %.0f", tc.name, allocs, tc.allocs)
+			}
+		})
 	}
 }
 

@@ -7,20 +7,16 @@ import (
 
 	"colza/internal/bufpool"
 	"colza/internal/codec"
+	"colza/internal/mercury"
 	"colza/internal/obs"
 )
 
-// deltaMismatchText is the sentinel carried by the server's remote error
-// when a delta-encoded frame names a base iteration the server no longer
-// holds (evicted, invalidated, or already superseded by a duplicate of this
-// very block). Remote errors cross the wire as strings, so the client
-// detects it by substring and re-encodes the block against a zero base —
-// the stage is retried self-contained, never decoded against wrong state.
+// deltaMismatchText opens the per-block error the server reports when a
+// delta-encoded record names a base iteration it no longer holds (evicted,
+// invalidated, or already superseded by a duplicate of this very block).
+// The client reacts to the error's kind (stageBatchErrDeltaMismatch); the
+// text keeps the cause readable in logs.
 const deltaMismatchText = "colza: stage delta base mismatch"
-
-func isDeltaBaseMismatch(err error) bool {
-	return err != nil && strings.Contains(err.Error(), deltaMismatchText)
-}
 
 // codecUsed pairs the codec a block was encoded with and the CPU time the
 // encode took, for feedback after the stage RPC completes.
@@ -150,15 +146,20 @@ func (s *stageCodecState) pick() codec.Codec {
 	return codec.Raw{}
 }
 
-// encodeStage prepares the wire payload for one block. Raw returns data
-// itself (pooled=false, nothing to recycle); any other codec returns a
-// pooled buffer the caller must bufpool.Put after release. zeroBase forces
-// a self-contained delta (the mismatch-fallback retry path).
-func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta, data []byte, zeroBase bool) (wire []byte, pooled bool, ci stageCodecInfo, used codec.Codec, encNs int64) {
+// encodeStage prepares the wire payload for one block. With the codec
+// machinery off, or when raw is picked, it returns data itself (pooled =
+// false, nothing to recycle); any other codec returns a pooled buffer the
+// caller must bufpool.Put after release. used.c is nil only with the
+// machinery off, which keeps the raw default free of codec metrics.
+// zeroBase forces a self-contained delta (the mismatch-fallback resend).
+func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta, data []byte, zeroBase bool) (wire []byte, pooled bool, ci stageCodecInfo, used codecUsed) {
+	if !s.enabled() {
+		return data, false, stageCodecInfo{Uncompressed: uint64(len(data))}, codecUsed{}
+	}
 	c := s.pick()
 	ci = stageCodecInfo{CodecID: c.ID(), Uncompressed: uint64(len(data))}
 	if c.ID() == codec.RawID {
-		return data, false, ci, c, 0
+		return data, false, ci, codecUsed{c: c}
 	}
 	start := time.Now()
 	src := data
@@ -192,43 +193,93 @@ func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta
 		// degrade to raw, never fail the stage.
 		bufpool.Put(buf)
 		ci = stageCodecInfo{CodecID: codec.RawID, Uncompressed: uint64(len(data))}
-		return data, false, ci, codec.Raw{}, time.Since(start).Nanoseconds()
+		return data, false, ci, codecUsed{codec.Raw{}, time.Since(start).Nanoseconds()}
 	}
-	return enc, true, ci, c, time.Since(start).Nanoseconds()
+	return enc, true, ci, codecUsed{c, time.Since(start).Nanoseconds()}
 }
 
-// recordSuccess feeds one successfully staged block back into metrics, the
+// recordStaged feeds one successfully staged block back into metrics, the
 // adaptive selector, and — for delta — the remembered base history.
 // Client-side codec.bytes.in counts uncompressed bytes entering the codec,
 // codec.bytes.out the wire bytes leaving; codec.ratio is permille
-// (wire*1000/uncompressed).
-func (s *stageCodecState) recordSuccess(reg *obs.Registry, pipeline string, it uint64, meta BlockMeta, data []byte, ci stageCodecInfo, used codec.Codec, wireLen int, encNs, rpcNs int64) {
-	s.recordStaged(reg, pipeline, it, meta, data, len(data), ci, used, wireLen, encNs, rpcNs)
-}
-
-// recordStaged is recordSuccess for callers that may no longer hold the
-// original block (the batched path): dataLen carries the uncompressed
-// length for the metrics, and data may be nil — the delta base is then not
-// remembered. The batcher keeps a pooled copy whenever ci.Remember is set,
-// so nil data only ever pairs with non-delta codecs.
-func (s *stageCodecState) recordStaged(reg *obs.Registry, pipeline string, it uint64, meta BlockMeta, data []byte, dataLen int, ci stageCodecInfo, used codec.Codec, wireLen int, encNs, rpcNs int64) {
-	if used == nil {
+// (wire*1000/uncompressed). data holds the original block bytes whenever
+// ci.Remember is set (the batcher keeps a pooled copy for exactly that);
+// dataLen carries the uncompressed length for the metrics.
+func (s *stageCodecState) recordStaged(reg *obs.Registry, pipeline string, it uint64, meta BlockMeta, data []byte, dataLen int, ci stageCodecInfo, used codecUsed, wireLen int, rpcNs int64) {
+	if used.c == nil {
 		return
 	}
-	name := used.Name()
+	name := used.c.Name()
 	reg.Counter("codec.bytes.in", "codec", name).Add(int64(dataLen))
 	reg.Counter("codec.bytes.out", "codec", name).Add(int64(wireLen))
 	if dataLen > 0 {
 		reg.Gauge("codec.ratio", "codec", name).Set(int64(wireLen) * 1000 / int64(dataLen))
-		reg.Gauge("codec.encode_ns_per_mb", "codec", name).Set(encNs * (1 << 20) / int64(dataLen))
+		reg.Gauge("codec.encode_ns_per_mb", "codec", name).Set(used.encNs * (1 << 20) / int64(dataLen))
 	}
 	s.mu.Lock()
 	sel := s.selector
 	s.mu.Unlock()
 	if sel != nil {
-		sel.Record(used, dataLen, wireLen, encNs, rpcNs)
+		sel.Record(used.c, dataLen, wireLen, used.encNs, rpcNs)
 	}
 	if ci.Remember && data != nil {
 		s.deltaState().Remember(codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}, it, data)
+	}
+}
+
+// exchangeStage is the one stage exchange every sender shares: it exposes
+// payload (the records' encoded payloads, concatenated in record order),
+// frames recs into a pooled buffer, carries the frame to the server with
+// call, releases the frame and the bulk region, and decodes the per-block
+// response. The region stays exposed across whatever retries call makes,
+// so every resend pulls the same bytes. call is synchronous and the
+// transport copies on send, so the frame is recycled as soon as call
+// returns. rpcNs is the time spent in call.
+func exchangeStage(cls *mercury.Class, pipeline string, it uint64, recs []stageBatchRec, payload []byte,
+	call func(frame []byte) ([]byte, error)) (berrs []stageBatchBlockErr, rpcNs int64, err error) {
+	bulk := cls.Expose(payload)
+	frame := appendStageBatchMsg(bufpool.Get(stageBatchMsgSize(pipeline, recs, bulk))[:0], pipeline, it, recs, bulk)
+	start := time.Now()
+	resp, err := call(frame)
+	rpcNs = time.Since(start).Nanoseconds()
+	cls.Release(bulk)
+	bufpool.Put(frame)
+	if err != nil {
+		return nil, rpcNs, err
+	}
+	berrs, err = decodeStageBatchResp(resp, len(recs))
+	return berrs, rpcNs, err
+}
+
+// stageOne stages one block as a batch of one. The frame's bulk handle
+// exposes the encoded block — data itself on the raw path, so nothing is
+// copied and data must stay unchanged until stageOne returns (RDMA
+// semantics). When the server no longer holds the delta base the block was
+// encoded against (evicted, invalidated, or already advanced by a duplicate
+// of this block), the block is re-encoded self-contained and resent:
+// at-least-once staging may cost a fallback round trip but never decodes
+// against wrong state. Any other block failure is the server's answer and
+// returns as a remote error.
+func (s *stageCodecState) stageOne(reg *obs.Registry, cls *mercury.Class, pipeline string, it uint64, meta BlockMeta, data []byte, zeroBase bool,
+	call func(frame []byte) ([]byte, error)) error {
+	for {
+		wire, pooled, ci, used := s.encodeStage(pipeline, it, meta, data, zeroBase)
+		recs := [1]stageBatchRec{{CI: ci, Meta: meta, PayloadLen: len(wire)}}
+		berrs, rpcNs, err := exchangeStage(cls, pipeline, it, recs[:], wire, call)
+		if pooled {
+			bufpool.Put(wire)
+		}
+		if err == nil && len(berrs) > 0 {
+			if berrs[0].Kind == stageBatchErrDeltaMismatch && ci.HasBase {
+				reg.Counter("codec.delta.fallback", "pipeline", pipeline).Inc()
+				zeroBase = true
+				continue
+			}
+			err = berrs[0].remote()
+		}
+		if err == nil {
+			s.recordStaged(reg, pipeline, it, meta, data, len(data), ci, used, recs[0].PayloadLen, rpcNs)
+		}
+		return err
 	}
 }

@@ -76,38 +76,97 @@ func init() {
 	})
 }
 
-// TestChaosStageRetryBufferOwnership is the buffer-ownership regression of
-// the chaos suite: with the stage hot path pooled end to end, a Stage
-// retry after an injected drop (request and response variants) must still
-// pull the original bytes — never a recycled or already-reused buffer —
+// TestChaosStageRetry is the buffer-ownership regression of the chaos
+// suite: every arm stages pooled blocks that the caller recycles the moment
+// Stage returns, while a mid-run fault plan drops one stage request and one
+// stage response. Each retry must still pull the original bytes — never a
+// recycled or already-reused buffer (per-byte checksums at the backend) —
 // and every exposed bulk region must be released by shutdown, client and
 // servers alike (the mercury.bulk.exposed.bytes balance check).
 //
-// The arms rerun the identical fault plan with the wire codec off, under
-// the adaptive controller, and forced to delta: the compressed paths add a
-// second pooled buffer and the delta base-mismatch fallback to the retry
+// The arms cover both transports (inproc, and sm+tcp dual endpoints whose
+// pulls are zero-copy out of the client's shared arena), both senders
+// (per-block batch-of-one frames, whose bulk handle exposes the caller's own
+// buffer; and the batcher, whose shared payload buffer is batch-owned), and
+// the wire codec off, adaptive, or forced to delta. The compressed arms add
+// a second pooled buffer and the delta base-mismatch fallback to the retry
 // machinery, and none of it may change what the backend observes.
-func TestChaosStageRetryBufferOwnership(t *testing.T) {
-	t.Run("raw", func(t *testing.T) {
-		runChaosStageRetryBufferOwnership(t, "own-raw", func(h *core.DistributedPipelineHandle) {})
-	})
-	t.Run("adaptive", func(t *testing.T) {
-		runChaosStageRetryBufferOwnership(t, "own-adpt", func(h *core.DistributedPipelineHandle) {
-			h.SetCodecAdaptive(true)
-		})
-	})
-	t.Run("delta", func(t *testing.T) {
-		runChaosStageRetryBufferOwnership(t, "own-delta", func(h *core.DistributedPipelineHandle) {
-			if err := h.SetCodec("delta"); err != nil {
-				t.Fatal(err)
+func TestChaosStageRetry(t *testing.T) {
+	arms := []stageChaosArm{
+		{transport: "inproc", codec: "raw"},
+		{transport: "inproc", codec: "adaptive"},
+		{transport: "inproc", codec: "delta"},
+		{transport: "inproc", batched: true, codec: "raw"},
+		{transport: "inproc", batched: true, codec: "delta"},
+		{transport: "sm", codec: "raw"},
+		{transport: "sm", batched: true, codec: "raw"},
+	}
+	// Subtests nest transport / sender / codec, so one transport or one
+	// sender can be selected on its own with -run.
+	for _, transport := range []string{"inproc", "sm"} {
+		t.Run(transport, func(t *testing.T) {
+			for _, batched := range []bool{false, true} {
+				t.Run(stageChaosArm{batched: batched}.sender(), func(t *testing.T) {
+					for _, arm := range arms {
+						if arm.transport == transport && arm.batched == batched {
+							t.Run(arm.codec, func(t *testing.T) { runStageChaosArm(t, arm) })
+						}
+					}
+				})
 			}
 		})
-	})
+	}
 }
 
-func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure func(h *core.DistributedPipelineHandle)) {
+// stageChaosArm is one cell of the stage-retry chaos matrix.
+type stageChaosArm struct {
+	transport string // "inproc" or "sm"
+	batched   bool   // stage through the coalescing batcher
+	codec     string // "raw" (codec off), "adaptive", or a forced codec name
+}
+
+func (a stageChaosArm) sender() string {
+	if a.batched {
+		return "batched"
+	}
+	return "per-block"
+}
+
+func (a stageChaosArm) name() string {
+	return a.transport + "/" + a.sender() + "/" + a.codec
+}
+
+// stageChaosDeployment starts two staging servers and a client endpoint on
+// the arm's transport; setPlan installs a fault plan on every endpoint a
+// stage frame or its response can cross.
+func stageChaosDeployment(t *testing.T, arm stageChaosArm) (servers []*core.Server, clientEP na.Endpoint, setPlan func(*na.FaultPlan)) {
+	t.Helper()
+	if arm.transport == "sm" {
+		dir := smTestDir(t)
+		var eps []*na.DualEndpoint
+		for i := 0; i < 2; i++ {
+			boot := ""
+			if i > 0 {
+				boot = servers[0].Addr()
+			}
+			s, ep := startSMServer(t, dir, boot)
+			servers = append(servers, s)
+			eps = append(eps, ep)
+			t.Cleanup(s.Shutdown)
+		}
+		cep, err := na.ListenDual("127.0.0.1:0", dir, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps = append(eps, cep)
+		return servers, cep, func(p *na.FaultPlan) {
+			for _, ep := range eps {
+				ep.SetFaultPlan(p)
+			}
+		}
+	}
+	prefix := strings.NewReplacer("/", "-").Replace(arm.name())
 	net := na.NewInprocNetwork()
-	var servers []*core.Server
 	for i := 0; i < 2; i++ {
 		boot := ""
 		if i > 0 {
@@ -118,16 +177,24 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 			t.Fatal(err)
 		}
 		servers = append(servers, s)
-		defer s.Shutdown()
+		t.Cleanup(s.Shutdown)
 	}
+	cep, err := net.Listen(prefix + "-client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return servers, cep, net.SetFaultPlan
+}
+
+func runStageChaosArm(t *testing.T, arm stageChaosArm) {
+	servers, clientEP, setPlan := stageChaosDeployment(t, arm)
 	waitMembers(t, servers, 2)
 
 	checksumMu.Lock()
 	instsBefore := len(checksumInsts)
 	checksumMu.Unlock()
 
-	ep, _ := net.Listen(prefix + "-client")
-	mi := margo.NewInstance(ep)
+	mi := margo.NewInstance(clientEP)
 	defer mi.Finalize()
 	client := core.NewClient(mi)
 	reg := obs.NewRegistry()
@@ -150,7 +217,24 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 
 	h := client.Handle("viz", servers[0].Addr())
 	h.SetTimeout(250 * time.Millisecond)
-	configure(h)
+	defer h.Close()
+	if arm.batched {
+		// Three blocks land on rank 0 per iteration, so MaxBlocks 2 gives
+		// two frames to server 0 (a size-triggered one and a barrier-drained
+		// one) — enough distinct responses that the Nth-2 response drop
+		// below hits a stage reply, not the execute's. The age trigger is
+		// off to keep frame boundaries deterministic.
+		h.SetBatching(core.BatchConfig{MaxBlocks: 2, MaxAge: -1, Window: 2})
+	}
+	switch arm.codec {
+	case "raw":
+	case "adaptive":
+		h.SetCodecAdaptive(true)
+	default:
+		if err := h.SetCodec(arm.codec); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const iters, blocks = 3, 5
 	const blockLen = 64 << 10
@@ -161,12 +245,12 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 		if it == 2 {
 			// Mid-run fault injection, so the rules below only ever see stage
 			// traffic. Rule 0 drops a stage *request*: the client times out and
-			// retries while the bulk region stays exposed. Rule 1 drops a stage
-			// *response* from server 0 to the client: the server has already
-			// pulled the block when the client retries, so the retry's pull
-			// re-reads a region whose first pull completed long ago — the
-			// classic at-least-once duplicate, which must still carry the
-			// original bytes.
+			// retries the whole frame while its bulk region stays exposed.
+			// Rule 1 drops a stage *response* from server 0 to the client: the
+			// server has already pulled the frame's blocks when the client
+			// retries, so the retry's pull re-reads a region whose first pull
+			// completed long ago — the classic at-least-once duplicate, which
+			// must still carry the original bytes.
 			plan := na.NewFaultPlan(7).SetClassifier(func(data []byte) string {
 				if name, ok := mercury.RPCNameOf(data); ok {
 					return name
@@ -175,7 +259,7 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 			})
 			plan.Add(na.FaultRule{Label: "colza::stage", Nth: 1, Drop: true})
 			plan.Add(na.FaultRule{Label: "response", From: servers[0].Addr(), To: mi.Addr(), Nth: 2, Drop: true})
-			net.SetFaultPlan(plan)
+			setPlan(plan)
 			defer func() {
 				for rule := 0; rule < 2; rule++ {
 					if plan.Fired(rule) < 1 {
@@ -185,10 +269,11 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 			}()
 		}
 		for b := 0; b < blocks; b++ {
-			// Client-side pooling discipline under test: the block lives in a
-			// pooled buffer that is recycled the moment Stage returns — legal
-			// because Stage releases its bulk region before returning, even on
-			// the retry paths the fault plan forces.
+			// Pooling discipline under test: the block lives in a pooled
+			// buffer that is recycled the moment Stage returns — legal
+			// because a per-block Stage releases its bulk region before
+			// returning, even on the retry paths the fault plan forces, and
+			// a batched Stage copies the block into the batch.
 			data := bufpool.Get(blockLen)
 			for i := range data {
 				data[i] = blockByte(it, b, i)
@@ -199,6 +284,9 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 				t.Fatalf("iteration %d stage %d: %v", it, b, err)
 			}
 		}
+		if err := h.Flush(it); err != nil {
+			t.Fatalf("iteration %d flush: %v", it, err)
+		}
 		if _, err := h.Execute(it); err != nil {
 			t.Fatalf("iteration %d execute: %v", it, err)
 		}
@@ -206,18 +294,23 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 			t.Fatalf("iteration %d deactivate: %v", it, err)
 		}
 	}
-	net.SetFaultPlan(nil)
+	setPlan(nil)
 
 	// The retry path must actually have run, or the test proves nothing.
 	snap := reg.Snapshot()
 	if got := snap.Counters["colza.stage.retries{pipeline=viz}"]; got < 1 {
 		t.Errorf("fault plan produced %d stage retries, want >= 1", got)
 	}
+	if arm.batched {
+		if got := snap.Counters["colza.stage.batch.blocks{pipeline=viz}"]; got != iters*blocks {
+			t.Errorf("batch.blocks = %d, want %d", got, iters*blocks)
+		}
+	}
 	// In the compressed arms the codec must actually have carried bytes,
 	// and the forced-delta arm must have hit the base-mismatch fallback (the
 	// dropped stage response leaves the server one iteration ahead, so the
 	// retry's base is stale and the client must re-encode zero-base).
-	if prefix != "own-raw" {
+	if arm.codec != "raw" {
 		var wire int64
 		for k, v := range snap.Counters {
 			if strings.HasPrefix(k, "codec.bytes.out{") {
@@ -228,12 +321,31 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 			t.Error("codec enabled but codec.bytes.out counted no wire bytes")
 		}
 	}
-	if prefix == "own-delta" {
+	if arm.codec == "delta" {
 		if got := snap.Counters["codec.bytes.out{codec=delta}"]; got < 1 {
 			t.Errorf("codec.bytes.out{codec=delta} = %d, want > 0", got)
 		}
 		if got := snap.Counters["codec.delta.fallback{pipeline=viz}"]; got < 1 {
 			t.Errorf("codec.delta.fallback{pipeline=viz} = %d, want >= 1", got)
+		}
+	}
+	// The sm arms must have run over the shared-memory route with every
+	// frame pulled zero-copy: one pull per block per-block, at least one
+	// per dispatched batch when batched.
+	if arm.transport == "sm" {
+		if got := snap.Counters["na.route.sm_preferred"]; got < 1 {
+			t.Errorf("na.route.sm_preferred = %d: chaos ran over TCP, not shared memory", got)
+		}
+		var pulls int64
+		for _, s := range servers {
+			pulls += s.Obs.Counter("na.shm.pull.local").Value()
+		}
+		want := int64(iters * blocks)
+		if arm.batched {
+			want = snap.Counters["colza.stage.batch.flushes{pipeline=viz}"]
+		}
+		if pulls < want {
+			t.Errorf("na.shm.pull.local total = %d, want >= %d (stage pulls not zero-copy)", pulls, want)
 		}
 	}
 

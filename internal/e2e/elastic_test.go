@@ -55,10 +55,10 @@ func (s *slowStats) Execute(it uint64) (core.ExecResult, error) {
 	}
 	return s.inner.Execute(it)
 }
-func (s *slowStats) Deactivate(it uint64) error      { return s.inner.Deactivate(it) }
-func (s *slowStats) Destroy() error                  { return s.inner.Destroy() }
-func (s *slowStats) ExportState() ([]byte, error)    { return s.inner.ExportState() }
-func (s *slowStats) ImportState(data []byte) error   { return s.inner.ImportState(data) }
+func (s *slowStats) Deactivate(it uint64) error    { return s.inner.Deactivate(it) }
+func (s *slowStats) Destroy() error                { return s.inner.Destroy() }
+func (s *slowStats) ExportState() ([]byte, error)  { return s.inner.ExportState() }
+func (s *slowStats) ImportState(data []byte) error { return s.inner.ImportState(data) }
 
 var slowStatsOnce sync.Once
 
@@ -262,12 +262,18 @@ func TestElasticScaleUpThenDownMatchesOracle(t *testing.T) {
 	t.Logf("scaled up to 2 servers during iteration %d", upAt)
 
 	// Fast phase: the load drops below the low-water band and the
-	// controller must release the extra server again.
+	// controller must release the extra server again. A light iteration
+	// takes about a millisecond, less than one sensing period, so each one
+	// waits (bounded) for the controller's next verdict: the iteration
+	// bound then counts the controller's observations of the light load,
+	// not how fast the client loop spins.
 	downAt := 0
 	for ; it <= maxIters && downAt == 0; it++ {
 		runStatsIteration(t, h, uint64(it), blocks)
 		if arm.size() == 1 {
 			downAt = it
+		} else {
+			awaitVerdictAfter(ctl, latestVerdict(ctl), time.Second)
 		}
 	}
 	if downAt == 0 {
@@ -282,7 +288,7 @@ func TestElasticScaleUpThenDownMatchesOracle(t *testing.T) {
 	// (delays off — they never affect the data).
 	onet := na.NewInprocNetwork()
 	osrv, err := core.StartInprocServer(onet, "elo-oracle0", core.ServerConfig{
-		SSG: ssg.Config{GossipPeriod: 5 * time.Millisecond, PingTimeout: 100 * time.Millisecond, SuspectPeriods: 20, Seed: 1},
+		SSG:           ssg.Config{GossipPeriod: 5 * time.Millisecond, PingTimeout: 100 * time.Millisecond, SuspectPeriods: 20, Seed: 1},
 		StateReplicas: 1,
 	})
 	if err != nil {
@@ -334,6 +340,23 @@ func TestElasticScaleUpThenDownMatchesOracle(t *testing.T) {
 	// The released server migrated its stateful share without loss.
 	if v := arm.server(1).Obs.Snapshot().Counters["core.migrate.errors"]; v != 0 {
 		t.Errorf("core.migrate.errors on the released server = %d, want 0", v)
+	}
+}
+
+// latestVerdict is the sequence number of the controller's newest verdict,
+// or -1 before its first.
+func latestVerdict(ctl *elastic.Controller) int {
+	v := ctl.Status().Verdicts
+	if len(v) == 0 {
+		return -1
+	}
+	return v[len(v)-1].Seq
+}
+
+// awaitVerdictAfter waits up to limit for a verdict newer than seq.
+func awaitVerdictAfter(ctl *elastic.Controller, seq int, limit time.Duration) {
+	for deadline := time.Now().Add(limit); latestVerdict(ctl) <= seq && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"colza/internal/bufpool"
 	"colza/internal/catalyst"
 	"colza/internal/core"
 	"colza/internal/margo"
-	"colza/internal/mercury"
 	"colza/internal/na"
 	"colza/internal/obs"
 	"colza/internal/sim"
@@ -146,152 +144,5 @@ func TestColzaOverSM(t *testing.T) {
 	}
 	if want := int64(3 * mb.Blocks); pulls < want {
 		t.Errorf("na.shm.pull.local total = %d, want >= %d (bulk pulls not zero-copy)", pulls, want)
-	}
-}
-
-// TestChaosStageRetryOverSM reruns the stage-retry buffer-ownership chaos
-// scenario with the deployment on sm+tcp endpoints: injected drops of a
-// stage request and a stage response force at-least-once retries while the
-// bulk region stays exposed in the client's shared arena, and the retry's
-// zero-copy pull must still observe the original bytes — never a recycled
-// buffer. Every exposed region must be released by shutdown on all ranks.
-func TestChaosStageRetryOverSM(t *testing.T) {
-	dir := smTestDir(t)
-
-	var servers []*core.Server
-	var serverEPs []*na.DualEndpoint
-	for i := 0; i < 2; i++ {
-		boot := ""
-		if i > 0 {
-			boot = servers[0].Addr()
-		}
-		s, ep := startSMServer(t, dir, boot)
-		servers = append(servers, s)
-		serverEPs = append(serverEPs, ep)
-		defer s.Shutdown()
-	}
-	waitMembers(t, servers, 2)
-
-	checksumMu.Lock()
-	instsBefore := len(checksumInsts)
-	checksumMu.Unlock()
-
-	clientEP, err := na.ListenDual("127.0.0.1:0", dir, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mi := margo.NewInstance(clientEP)
-	defer mi.Finalize()
-	client := core.NewClient(mi)
-	reg := obs.NewRegistry()
-	client.SetObserver(reg)
-	admin := core.NewAdminClient(mi)
-	for _, s := range servers {
-		if err := admin.CreatePipeline(s.Addr(), "viz", "checksum", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The leak check must hold whatever else the test concludes.
-	defer func() {
-		classes := []*mercury.Class{mi.Class()}
-		for _, s := range servers {
-			classes = append(classes, s.MI.Class())
-		}
-		mercury.VerifyNoExposedLeaks(t, classes...)
-	}()
-
-	h := client.Handle("viz", servers[0].Addr())
-	h.SetTimeout(250 * time.Millisecond)
-
-	const iters, blocks = 3, 5
-	const blockLen = 64 << 10
-	for it := uint64(1); it <= iters; it++ {
-		if _, err := h.Activate(it); err != nil {
-			t.Fatalf("iteration %d activate: %v", it, err)
-		}
-		if it == 2 {
-			// Same mid-run plan as the inproc ownership test, installed on
-			// every dual endpoint so drops hit whichever transport the route
-			// picked (here: the sm ring). Rule 0 drops a stage *request* —
-			// client times out and retries with the bulk region still
-			// exposed. Rule 1 drops a stage *response* from server 0 — the
-			// server already pulled the block, so the retry's pull re-reads
-			// a region whose first zero-copy pull completed long ago.
-			plan := na.NewFaultPlan(7).SetClassifier(func(data []byte) string {
-				if name, ok := mercury.RPCNameOf(data); ok {
-					return name
-				}
-				return "response"
-			})
-			plan.Add(na.FaultRule{Label: "colza::stage", Nth: 1, Drop: true})
-			plan.Add(na.FaultRule{Label: "response", From: servers[0].Addr(), To: mi.Addr(), Nth: 2, Drop: true})
-			clientEP.SetFaultPlan(plan)
-			for _, ep := range serverEPs {
-				ep.SetFaultPlan(plan)
-			}
-			defer func() {
-				for rule := 0; rule < 2; rule++ {
-					if plan.Fired(rule) < 1 {
-						t.Errorf("fault rule %d never fired (%s)", rule, plan)
-					}
-				}
-			}()
-		}
-		for b := 0; b < blocks; b++ {
-			// Pooling discipline under test: the block's pooled buffer is
-			// recycled the moment Stage returns — legal because Stage
-			// releases its arena region before returning, retries included.
-			data := bufpool.Get(blockLen)
-			for i := range data {
-				data[i] = blockByte(it, b, i)
-			}
-			err := h.Stage(it, core.BlockMeta{Field: "v", BlockID: b, Type: "raw"}, data)
-			bufpool.Put(data)
-			if err != nil {
-				t.Fatalf("iteration %d stage %d: %v", it, b, err)
-			}
-		}
-		if _, err := h.Execute(it); err != nil {
-			t.Fatalf("iteration %d execute: %v", it, err)
-		}
-		if err := h.Deactivate(it); err != nil {
-			t.Fatalf("iteration %d deactivate: %v", it, err)
-		}
-	}
-	clientEP.SetFaultPlan(nil)
-	for _, ep := range serverEPs {
-		ep.SetFaultPlan(nil)
-	}
-
-	// The retry path must actually have run over the sm route.
-	snap := reg.Snapshot()
-	if got := snap.Counters["colza.stage.retries{pipeline=viz}"]; got < 1 {
-		t.Errorf("fault plan produced %d stage retries, want >= 1", got)
-	}
-	if got := snap.Counters["na.route.sm_preferred"]; got < 1 {
-		t.Errorf("na.route.sm_preferred = %d: chaos ran over TCP, not shared memory", got)
-	}
-	var pulls int64
-	for _, s := range servers {
-		pulls += s.Obs.Counter("na.shm.pull.local").Value()
-	}
-	if want := int64(iters * blocks); pulls < want {
-		t.Errorf("na.shm.pull.local total = %d, want >= %d (stage pulls not zero-copy)", pulls, want)
-	}
-
-	checksumMu.Lock()
-	defer checksumMu.Unlock()
-	var staged int
-	for _, p := range checksumInsts[instsBefore:] {
-		p.mu.Lock()
-		staged += p.staged
-		for _, c := range p.corrupt {
-			t.Errorf("server observed recycled/corrupted stage buffer: %s", c)
-		}
-		p.mu.Unlock()
-	}
-	if want := iters * blocks; staged < want {
-		t.Errorf("backends saw %d staged blocks, want >= %d", staged, want)
 	}
 }
