@@ -81,6 +81,16 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted"
     exit 1
 fi
+# Retry-path gate: every backoff in core and elastic runs through the one
+# cancellable retry loop (RetryPolicy's retrier, internal/core/errors.go).
+# A bare time.Sleep there is a wait that neither Close, Shutdown nor Stop
+# can interrupt, so no non-test file in those packages may call it.
+bare_sleeps=$(grep -n 'time\.Sleep(' $(find internal/core internal/elastic -name '*.go' ! -name '*_test.go') || true)
+if [ -n "$bare_sleeps" ]; then
+    echo "bare time.Sleep on a retry path (use the retrier):"
+    echo "$bare_sleeps"
+    exit 1
+fi
 go build ./...
 go vet ./...
 go test -timeout 300s ./...
@@ -98,6 +108,11 @@ go test -count=1 -run 'AllocsCeiling' ./internal/bench/
 # that a drained batcher leaves no send goroutines or age timers behind.
 go test -count=1 -timeout 120s -run 'TestTCPCloseReapsAcceptedConns|TestOverloadShedsAndRecovers' ./internal/na/ ./internal/e2e/
 go test -count=1 -timeout 300s -run 'TestNBStageBoundedGoroutines|TestBatcherDrainNoGoroutineLeak' ./internal/core/
+# Retry-primitive gate, under -race: the retry loop's schedule and
+# accounting, busy absorption, and cancellation of every backoff (handle
+# Close, provider Shutdown, controller Stop), including the migrate retry
+# through the provider's sleep seam.
+go test -race -count=1 -timeout 300s -run 'Retry|Busy|Cancel|StopDuring|MigrateCall' ./internal/core/ ./internal/elastic/
 # Crash-recovery gate: killing the stateful server mid-run must reproduce
 # the crash-free oracle's cumulative statistics exactly (replicated
 # checkpoints), and the no-replication control arm must document the loss.

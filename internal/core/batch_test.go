@@ -624,19 +624,20 @@ func TestBatchedCloseCancelsRetryBackoff(t *testing.T) {
 }
 
 // TestMigrateCallBackoffInjectable covers the migrate retry's backoff
-// through the injected clock: the schedule is observable without one real
-// sleep, failures count, and a remote refusal is final immediately.
+// through the provider's shared sleep seam: the schedule is observable
+// without one real sleep, failures count, and a remote refusal is final
+// immediately.
 func TestMigrateCallBackoffInjectable(t *testing.T) {
 	d := deploy(t, 2)
 	p := d.servers[0].Provider
 	var mu sync.Mutex
 	var sleeps []time.Duration
-	p.SetMigrateSleep(func(d time.Duration) {
+	p.retrySleep = func(d time.Duration, _ <-chan struct{}) time.Duration {
 		mu.Lock()
 		sleeps = append(sleeps, d)
 		mu.Unlock()
-	})
-	defer p.SetMigrateSleep(nil)
+		return d
+	}
 	payload, _ := json.Marshal(migrateMsg{Pipeline: "ghost", State: []byte("s")})
 
 	errsBefore := d.servers[0].Obs.Snapshot().Counters["core.migrate.errors"]
@@ -659,6 +660,9 @@ func TestMigrateCallBackoffInjectable(t *testing.T) {
 	}
 	if errs := d.servers[0].Obs.Snapshot().Counters["core.migrate.errors"]; errs != errsBefore+2 {
 		t.Fatalf("migrate errors advanced by %d, want 2 (one per failed attempt)", errs-errsBefore)
+	}
+	if slept := d.servers[0].Obs.Counter("core.retry.slept_ns", "site", "migrate").Value(); slept != int64(got[0]) {
+		t.Fatalf("core.retry.slept_ns{site=migrate} = %d, want the injected %d", slept, got[0])
 	}
 
 	// A live peer that refuses (unknown pipeline) answers ClassRemote:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestClientBusyRetry(t *testing.T) {
 	c.infoCache[sm.Addr()] = ServerInfo{RPC: sm.Addr()}
 	c.mu.Unlock()
 
-	out, err := c.call(sm.Addr(), "ping", nil, 5*time.Second)
+	out, err := c.call(sm.Addr(), "ping", nil, 5*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestClientBusyRetry(t *testing.T) {
 
 // TestClientBusyExhaustion: a persistently loaded server eventually
 // surfaces the busy error to the caller (Stage's outer retry policy takes
-// over from there), after exactly clientBusyRetries in-place retries.
+// over from there), after busyRetry.Max attempts.
 func TestClientBusyExhaustion(t *testing.T) {
 	c, sm, reg := busyPair(t)
 	var calls atomic.Int64
@@ -78,15 +79,21 @@ func TestClientBusyExhaustion(t *testing.T) {
 		calls.Add(1)
 		return nil, &mercury.BusyError{RetryAfter: time.Microsecond}
 	})
-	_, err := c.call(sm.Addr(), "ping", nil, 5*time.Second)
+	_, err := c.call(sm.Addr(), "ping", nil, 5*time.Second, nil)
 	if Classify(err) != ClassBusy {
 		t.Fatalf("err = %v (class %v), want ClassBusy", err, Classify(err))
 	}
-	if got := calls.Load(); got != clientBusyRetries+1 {
-		t.Fatalf("server saw %d calls, want %d", got, clientBusyRetries+1)
+	if got := calls.Load(); got != int64(busyRetry.Max) {
+		t.Fatalf("server saw %d calls, want %d", got, busyRetry.Max)
 	}
-	if got := reg.Counter("core.client.retries.busy", "rpc", "ping").Value(); got != clientBusyRetries+1 {
-		t.Fatalf("core.client.retries.busy = %d, want %d (one per busy response)", got, clientBusyRetries+1)
+	if got := reg.Counter("core.client.retries.busy", "rpc", "ping").Value(); got != int64(busyRetry.Max) {
+		t.Fatalf("core.client.retries.busy = %d, want %d (one per busy response)", got, busyRetry.Max)
+	}
+	if got := reg.Counter("core.retry.giveups", "site", "busy").Value(); got != 1 {
+		t.Fatalf("core.retry.giveups{site=busy} = %d, want 1", got)
+	}
+	if got := reg.Counter("core.retry.slept_ns", "site", "busy").Value(); got < int64(busyRetry.Max-1)*int64(time.Millisecond) {
+		t.Fatalf("core.retry.slept_ns{site=busy} = %d, want >= %d 1ms backoffs", got, busyRetry.Max-1)
 	}
 }
 
@@ -111,20 +118,74 @@ func TestClassifyBusy(t *testing.T) {
 	}
 }
 
-// TestBusyBackoffBounds: the sleep respects the hint, grows with attempts,
-// and never exceeds 2x the 100ms ceiling (ceiling + full jitter).
+// TestBusyBackoffBounds drives busyRetry through the retry loop against a
+// server that always sheds: the Retry-After hint raises the 1ms base, each
+// sleep doubles the last up to the 100ms ceiling, and none exceeds 2x its
+// step (full jitter) — so never below the hint, never above 200ms.
 func TestBusyBackoffBounds(t *testing.T) {
-	hint := &mercury.BusyError{RetryAfter: 4 * time.Millisecond}
-	for attempt := 0; attempt < 12; attempt++ {
-		d := busyBackoff(hint, attempt)
-		if d < 4*time.Millisecond {
-			t.Fatalf("attempt %d: backoff %v below the server hint", attempt, d)
+	for _, tc := range []struct {
+		hint, base time.Duration
+	}{
+		{4 * time.Millisecond, 4 * time.Millisecond},
+		{0, time.Millisecond}, // no hint: busyRetry's own base
+	} {
+		var sleeps []time.Duration
+		r := retrier{site: "busy", policy: busyRetry, retryable: isBusy,
+			jitter: rand.New(rand.NewSource(3)).Float64, reg: obs.NewRegistry(),
+			sleep: func(d time.Duration, _ <-chan struct{}) time.Duration {
+				sleeps = append(sleeps, d)
+				return d
+			}}
+		err := r.run(func(int) error { return &mercury.BusyError{RetryAfter: tc.hint} })
+		if !isBusy(err) || len(sleeps) != busyRetry.Max-1 {
+			t.Fatalf("hint %v: err %v after %d backoffs, want busy after %d", tc.hint, err, len(sleeps), busyRetry.Max-1)
 		}
-		if d > 200*time.Millisecond {
-			t.Fatalf("attempt %d: backoff %v above ceiling+jitter", attempt, d)
+		for k, d := range sleeps {
+			step := min(tc.base<<k, 100*time.Millisecond)
+			if d < step || d >= 2*step {
+				t.Fatalf("hint %v, attempt %d: backoff %v outside [%v, %v)", tc.hint, k, d, step, 2*step)
+			}
 		}
 	}
-	if d := busyBackoff(errors.New("no hint"), 0); d < time.Millisecond || d > 2*time.Millisecond {
-		t.Fatalf("hintless backoff = %v, want within [1ms, 2ms]", d)
+}
+
+// TestStageCloseDuringBusyStorm: a server that sheds every request with a
+// 50ms hint keeps a Stage inside Client.call's busy backoffs; Close must
+// cut the one in flight short, and Stage returns a wrapped ErrHandleClosed
+// within 100ms instead of serving out the busy schedule.
+func TestStageCloseDuringBusyStorm(t *testing.T) {
+	c, sm, reg := busyPair(t)
+	var calls atomic.Int64
+	sm.RegisterProviderRPC(ProviderID, "stage", func(req mercury.Request) ([]byte, error) {
+		calls.Add(1)
+		return nil, &mercury.BusyError{RetryAfter: 50 * time.Millisecond}
+	})
+	h := c.Handle("viz", sm.Addr())
+	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: sm.Addr()}}})
+
+	errCh := make(chan error, 1)
+	go func() { errCh <- h.Stage(1, BlockMeta{Field: "v", Type: "raw"}, []byte{1}) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for calls.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond) // two sheds: the client is mid-backoff
+	}
+	start := time.Now()
+	h.Close()
+	select {
+	case err := <-errCh:
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Fatalf("stage returned %v after close, want < 100ms", elapsed)
+		}
+		if !errors.Is(err, ErrHandleClosed) {
+			t.Fatalf("stage after close = %v, want wrapped ErrHandleClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stage still absorbing busy responses 5s after close")
+	}
+	if got := reg.Counter("core.retry.giveups", "site", "busy").Value(); got != 1 {
+		t.Fatalf("core.retry.giveups{site=busy} = %d, want 1 (the canceled run)", got)
+	}
+	if got := reg.Counter("colza.stage.retries", "pipeline", "viz").Value(); got != 0 {
+		t.Fatalf("colza.stage.retries = %d: a closed handle must not resend", got)
 	}
 }

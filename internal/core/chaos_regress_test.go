@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -248,14 +250,14 @@ func TestInfoCacheEvictedOnFailure(t *testing.T) {
 	dead := d.servers[1].Addr()
 	d.servers[1].Shutdown()
 	d.servers = d.servers[:1]
-	if _, err := d.client.call(dead, "info", nil, 200*time.Millisecond); err == nil {
+	if _, err := d.client.call(dead, "info", nil, 200*time.Millisecond, nil); err == nil {
 		t.Fatal("call to crashed server should fail")
 	}
 	if got := d.client.cachedInfoCount(); got != 1 {
 		t.Fatalf("cache has %d entries after eviction, want 1", got)
 	}
 	// Remote errors must NOT evict: the server answered, it is alive.
-	if _, err := d.client.call(d.servers[0].Addr(), "stage", []byte("{}"), time.Second); err == nil {
+	if _, err := d.client.call(d.servers[0].Addr(), "stage", []byte("{}"), time.Second, nil); err == nil {
 		t.Fatal("bogus stage should fail remotely")
 	}
 	if got := d.client.cachedInfoCount(); got != 1 {
@@ -264,13 +266,32 @@ func TestInfoCacheEvictedOnFailure(t *testing.T) {
 }
 
 // TestRetryPolicyBackoffBounds: backoff grows exponentially from Base and
-// never exceeds Cap (plus jitter fraction).
+// never exceeds Cap (plus jitter fraction); Cap 0 means no ceiling, and the
+// doubling saturates instead of overflowing at large k.
 func TestRetryPolicyBackoffBounds(t *testing.T) {
-	rp := RetryPolicy{Max: 6, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Jitter: 0}
-	want := []time.Duration{10, 20, 40, 80, 80, 80}
-	for k, w := range want {
-		if got := rp.Backoff(k, nil); got != w*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want %v", k, got, w*time.Millisecond)
+	ms := time.Millisecond
+	capped := RetryPolicy{Max: 6, Base: 10 * ms, Cap: 80 * ms, Jitter: 0}
+	uncapped := RetryPolicy{Max: 3, Base: 50 * ms}
+	for _, tc := range []struct {
+		rp   RetryPolicy
+		k    int
+		want time.Duration
+	}{
+		{capped, 0, 10 * ms},
+		{capped, 1, 20 * ms},
+		{capped, 2, 40 * ms},
+		{capped, 3, 80 * ms},
+		{capped, 4, 80 * ms},
+		{capped, 5, 80 * ms},
+		{capped, 70, 80 * ms},
+		{uncapped, 0, 50 * ms},
+		{uncapped, 1, 100 * ms},
+		{uncapped, 4, 800 * ms},
+		{uncapped, 70, math.MaxInt64},
+		{RetryPolicy{Base: 50 * ms, Jitter: 1}, 70, math.MaxInt64},
+	} {
+		if got := tc.rp.backoff(tc.k, rand.New(rand.NewSource(1)).Float64); got != tc.want {
+			t.Errorf("%+v backoff(%d) = %v, want %v", tc.rp, tc.k, got, tc.want)
 		}
 	}
 }

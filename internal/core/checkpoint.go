@@ -39,13 +39,13 @@ import (
 // exported state; the size bound keeps a runaway backend from wedging the
 // control plane, and the retry/backoff schedule rides out the transient
 // failure classes (timeout, unreachable, busy) without stalling deactivate
-// for long.
+// for long: three attempts, 25ms then 50ms apart.
 const (
 	maxCheckpointBytes = 16 << 20
-	checkpointAttempts = 3
 	checkpointTimeout  = 2 * time.Second
-	checkpointBackoff  = 25 * time.Millisecond
 )
+
+var checkpointRetry = RetryPolicy{Max: 3, Base: 25 * time.Millisecond}
 
 // ckptKey identifies one replicated checkpoint: which pipeline's state,
 // exported by which server.
@@ -185,17 +185,10 @@ func (p *Provider) checkpointStateful(slot *pipelineSlot, view MemberView, itera
 // failures back off and retry; a remote refusal is final — the peer
 // answered, so resending the same frame cannot change the outcome.
 func (p *Provider) callCheckpoint(addr, rpc string, payload []byte) error {
-	var err error
-	for attempt := 0; attempt < checkpointAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(checkpointBackoff << uint(attempt-1))
-		}
-		_, err = p.mi.CallProvider(addr, ProviderID, rpc, payload, checkpointTimeout)
-		if err == nil || Classify(err) == ClassRemote {
-			return err
-		}
-	}
-	return err
+	return p.retrier("checkpoint", checkpointRetry).run(func(int) error {
+		_, err := p.mi.CallProvider(addr, ProviderID, rpc, payload, checkpointTimeout)
+		return err
+	})
 }
 
 // handleCheckpointState stores a peer's replicated checkpoint. A stale

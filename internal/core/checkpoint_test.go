@@ -352,3 +352,67 @@ func TestRingSuccessors(t *testing.T) {
 		t.Fatalf("single-member view has successors: %v", got)
 	}
 }
+
+// TestShutdownCutsCheckpointRetry: Server.Shutdown of an origin that is
+// replicating to a successor which drops every checkpoint_state returns
+// after at most the attempt in flight, not the whole three-attempt
+// schedule, and the abandoned replica still counts as a checkpoint error.
+func TestShutdownCutsCheckpointRetry(t *testing.T) {
+	d := deploy(t, 2)
+	createAccEverywhere(t, d)
+	origin := d.servers[0]
+	// A dropped request: the caller waits out its deadline, then fails
+	// with a retryable error.
+	const dropWait = 300 * time.Millisecond
+	fired := make(chan struct{}, checkpointRetry.Max) // one slot per attempt
+	origin.MI.SetCallHook(func(to, name string) error {
+		if name != margo.ProviderRPCName(ProviderID, "checkpoint_state") {
+			return nil
+		}
+		fired <- struct{}{}
+		time.Sleep(dropWait)
+		return na.ErrNoRoute
+	})
+	h := d.client.Handle("acc", origin.Addr())
+	h.SetTimeout(time.Second)
+	if _, err := h.Activate(1); err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 2; b++ {
+		if err := h.Stage(1, BlockMeta{BlockID: b}, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := h.Execute(1); err != nil {
+		t.Fatal(err)
+	}
+	// The origin replicates inside its deactivate handler, so the client's
+	// Deactivate only fails (origin gone) once the test is done with it.
+	deactivated := make(chan struct{})
+	go func() {
+		defer close(deactivated)
+		h.Deactivate(1)
+	}()
+	defer func() { <-deactivated }()
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("origin never attempted checkpoint_state")
+	}
+
+	start := time.Now()
+	origin.Shutdown()
+	d.servers = d.servers[1:] // already shut down
+	if elapsed := time.Since(start); elapsed > dropWait+250*time.Millisecond {
+		t.Fatalf("Shutdown took %v: it served out the checkpoint retries (one attempt is %v)", elapsed, dropWait)
+	}
+	if n := len(fired); n != 0 {
+		t.Fatalf("%d more checkpoint attempts after Shutdown, want 0", n)
+	}
+	if n := origin.Obs.Counter("core.state.checkpoint.errors").Value(); n != 1 {
+		t.Fatalf("core.state.checkpoint.errors = %d, want 1 (the abandoned replica)", n)
+	}
+	if n := origin.Obs.Counter("core.retry.giveups", "site", "checkpoint").Value(); n != 1 {
+		t.Fatalf("core.retry.giveups{site=checkpoint} = %d, want 1", n)
+	}
+}

@@ -66,61 +66,45 @@ func (c *Client) observer() *obs.Registry {
 	return obs.Default()
 }
 
-// clientBusyRetries bounds the client's built-in busy retry loop: a busy
-// response means the request was shed before executing, so reissuing is
-// always safe; the loop honors the server's Retry-After hint. Operations
-// with their own retry policies (Stage, activate rounds) still see busy as
-// retryable if this inner loop exhausts.
-const clientBusyRetries = 8
+// busyRetry absorbs admission shedding inside Client.call: a busy response
+// means the request was shed before executing, so reissuing is always
+// safe. The server's Retry-After hint raises the 1ms base, which doubles
+// per consecutive busy response up to 100ms, plus up to 100% jitter so
+// retries from many ranks decorrelate instead of re-arriving as the next
+// synchronized burst. Operations with their own retry policies (Stage,
+// activate rounds) still see busy as retryable once this is spent.
+var busyRetry = RetryPolicy{Max: 9, Base: time.Millisecond, Cap: 100 * time.Millisecond, Jitter: 1}
+
+func isBusy(err error) bool { return Classify(err) == ClassBusy }
 
 // call invokes a colza RPC and maintains the info cache: any failure at the
 // transport level (timeout, unreachable) means what we know about that
 // server may be stale, so its cached address mapping is evicted. Remote
 // errors leave the cache alone — the server answered, it is alive. Busy
-// responses (admission shedding) are retried in place under the server's
-// backoff hint; they never evict, the server is alive and just loaded.
-func (c *Client) call(addr, rpc string, payload []byte, timeout time.Duration) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		out, err := c.mi.CallProvider(addr, ProviderID, rpc, payload, timeout)
+// responses (admission shedding) are retried in place under busyRetry;
+// they never evict, the server is alive and just loaded. Closing cancel
+// (a handle's Close; nil for client-level calls) cuts a busy backoff short
+// with ErrHandleClosed.
+func (c *Client) call(addr, rpc string, payload []byte, timeout time.Duration, cancel <-chan struct{}) (out []byte, err error) {
+	reg := c.observer()
+	err = retrier{site: "busy", policy: busyRetry, retryable: isBusy, jitter: rand.Float64,
+		cancel: cancel, canceled: ErrHandleClosed, reg: reg}.run(func(int) error {
+		out, err = c.mi.CallProvider(addr, ProviderID, rpc, payload, timeout)
 		cls := Classify(err)
 		if cls == ClassOK {
-			return out, nil
+			return nil
 		}
-		c.observer().Counter("colza.call.errors", "rpc", rpc, "class", cls.String()).Inc()
+		reg.Counter("colza.call.errors", "rpc", rpc, "class", cls.String()).Inc()
 		if cls == ClassBusy {
 			// One increment per busy response received keeps this counter
 			// balanced against the servers' margo.pool.shed.
-			c.observer().Counter("core.client.retries.busy", "rpc", rpc).Inc()
-			if attempt < clientBusyRetries {
-				time.Sleep(busyBackoff(err, attempt))
-				continue
-			}
-			return out, err
-		}
-		if cls != ClassRemote {
+			reg.Counter("core.client.retries.busy", "rpc", rpc).Inc()
+		} else if cls != ClassRemote {
 			c.evictInfo(addr)
 		}
-		return out, err
-	}
-}
-
-// busyBackoff turns the server's Retry-After hint into the sleep before the
-// next attempt: the hint (1ms when absent), doubled per consecutive busy
-// response, capped, plus up to 100% jitter so retries from many ranks
-// decorrelate instead of re-arriving as the next synchronized burst.
-func busyBackoff(err error, attempt int) time.Duration {
-	const ceiling = 100 * time.Millisecond
-	d := BusyRetryAfter(err)
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	for i := 0; i < attempt && d < ceiling; i++ {
-		d *= 2
-	}
-	if d > ceiling {
-		d = ceiling
-	}
-	return d + time.Duration(rand.Int63n(int64(d)+1))
+		return err
+	})
+	return out, err
 }
 
 // evictInfo drops the cached address mapping for one server.
@@ -145,7 +129,7 @@ func (c *Client) serverInfo(rpcAddr string, timeout time.Duration) (ServerInfo, 
 		return si, nil
 	}
 	c.mu.Unlock()
-	raw, err := c.call(rpcAddr, "info", nil, timeout)
+	raw, err := c.call(rpcAddr, "info", nil, timeout, nil)
 	if err != nil {
 		return ServerInfo{}, err
 	}
@@ -164,7 +148,7 @@ func (c *Client) serverInfo(rpcAddr string, timeout time.Duration) (ServerInfo, 
 // member's address pair. The returned view is normalized; Epoch is zero
 // (set during activation).
 func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, error) {
-	raw, err := c.call(contact, "members", nil, timeout)
+	raw, err := c.call(contact, "members", nil, timeout, nil)
 	if err != nil {
 		return MemberView{}, fmt.Errorf("colza: fetching members from %s: %w", contact, err)
 	}
@@ -327,23 +311,6 @@ func (h *DistributedPipelineHandle) isClosed() bool {
 	}
 }
 
-// sleepInterruptible sleeps d unless the handle closes first; it reports
-// whether the full sleep elapsed. Retry loops use it so a handle being
-// torn down returns promptly instead of serving out its backoff schedule.
-func (h *DistributedPipelineHandle) sleepInterruptible(d time.Duration) bool {
-	if d <= 0 {
-		return !h.isClosed()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-h.closed:
-		return false
-	}
-}
-
 // SetBatching engages the coalescing stage batcher: blocks bound for the
 // same server rank ride one multi-block frame, flushed on size/age/count
 // triggers and drained by Flush/Execute/Deactivate. Off by default — an
@@ -420,11 +387,18 @@ func (h *DistributedPipelineHandle) SetCodecAdaptive(on bool) {
 	h.codec.setAdaptive(on)
 }
 
-// backoff computes the jittered sleep before retry attempt k under rp.
-func (h *DistributedPipelineHandle) backoff(rp RetryPolicy, k int) time.Duration {
+// jitter draws from the handle's seeded RNG (SetRetrySeed).
+func (h *DistributedPipelineHandle) jitter() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return rp.Backoff(k, h.rng)
+	return h.rng.Float64()
+}
+
+// retrier runs one of the handle's retry sites: jitter from the handle's
+// RNG, and Close cuts a backoff short with ErrHandleClosed.
+func (h *DistributedPipelineHandle) retrier(site string, rp RetryPolicy, retryable func(error) bool) retrier {
+	return retrier{site: site, policy: rp, retryable: retryable, jitter: h.jitter,
+		cancel: h.closed, canceled: ErrHandleClosed, reg: h.c.observer()}
 }
 
 // refreshView fetches the current membership, failing over from the
@@ -474,56 +448,55 @@ func (h *DistributedPipelineHandle) SetView(v MemberView) {
 // Pipeline returns the pipeline name.
 func (h *DistributedPipelineHandle) Pipeline() string { return h.pipeline }
 
-// broadcast calls an RPC on every member of the view concurrently and
-// collects results in rank order. All per-rank failures are reported
-// (joined), not just the last one — under churn several servers can fail
-// at once and the caller needs the full picture to classify the round.
-func (h *DistributedPipelineHandle) broadcast(view MemberView, rpc string, payload []byte, timeout time.Duration) ([][]byte, error) {
-	n := len(view.Members)
-	outs := make([][]byte, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, m := range view.Members {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			var err error
-			outs[i], err = h.c.call(addr, rpc, payload, timeout)
-			if err != nil {
-				errs[i] = fmt.Errorf("colza: %s on %s: %w", rpc, addr, err)
-			}
-		}(i, m.RPC)
-	}
-	wg.Wait()
-	return outs, errors.Join(errs...)
-}
-
-// cleanupBroadcast issues a best-effort RPC (abort/deactivate after a
-// failed activate round) to every member, bounded by a short timeout, and
-// returns the joined transport-level failures. Unlike the old
-// fire-and-forget goroutines this waits for the calls, so a slow server
-// cannot accumulate leaked goroutines across every retry.
-func (h *DistributedPipelineHandle) cleanupBroadcast(view MemberView, rpc string, payload []byte, timeout time.Duration) error {
-	ct := timeout / 4
-	if ct < 50*time.Millisecond {
-		ct = timeout
-	}
+// fanout calls an RPC on every member of the view concurrently and
+// returns the responses and errors in rank order.
+func (h *DistributedPipelineHandle) fanout(view MemberView, rpc string, payload []byte, timeout time.Duration) ([][]byte, []error) {
+	outs := make([][]byte, len(view.Members))
 	errs := make([]error, len(view.Members))
 	var wg sync.WaitGroup
 	for i, m := range view.Members {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			_, err := h.c.call(addr, rpc, payload, ct)
-			// Remote refusals are expected here (a member that never
-			// prepared has nothing to abort); only transport failures are
-			// worth surfacing.
-			if err != nil && Classify(err) != ClassRemote {
-				errs[i] = fmt.Errorf("colza: cleanup %s on %s: %w", rpc, addr, err)
-			}
+			outs[i], errs[i] = h.c.call(addr, rpc, payload, timeout, h.closed)
 		}(i, m.RPC)
 	}
 	wg.Wait()
+	return outs, errs
+}
+
+// broadcast is fanout with every per-rank failure reported (joined), not
+// just the last one — under churn several servers can fail at once and
+// the caller needs the full picture to classify the round.
+func (h *DistributedPipelineHandle) broadcast(view MemberView, rpc string, payload []byte, timeout time.Duration) ([][]byte, error) {
+	outs, errs := h.fanout(view, rpc, payload, timeout)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("colza: %s on %s: %w", rpc, view.Members[i].RPC, err)
+		}
+	}
+	return outs, errors.Join(errs...)
+}
+
+// cleanupBroadcast issues a best-effort RPC (abort/deactivate after a
+// failed activate round) to every member, bounded by a short timeout, and
+// returns the joined transport-level failures. It waits for the calls, so
+// a slow server cannot accumulate leaked goroutines across every retry.
+func (h *DistributedPipelineHandle) cleanupBroadcast(view MemberView, rpc string, payload []byte, timeout time.Duration) error {
+	ct := timeout / 4
+	if ct < 50*time.Millisecond {
+		ct = timeout
+	}
+	_, errs := h.fanout(view, rpc, payload, ct)
+	for i, err := range errs {
+		// Remote refusals are expected here (a member that never prepared
+		// has nothing to abort); only transport failures are worth
+		// surfacing.
+		errs[i] = nil
+		if err != nil && Classify(err) != ClassRemote {
+			errs[i] = fmt.Errorf("colza: cleanup %s on %s: %w", rpc, view.Members[i].RPC, err)
+		}
+	}
 	return errors.Join(errs...)
 }
 
@@ -547,70 +520,60 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 	sp := reg.StartSpan("activate", SpanKeyFor(h.pipeline, it))
 	defer func() { sp.End(err_) }()
 
-	var lastErr error
-	for attempt := 0; attempt < viewRetry.attempts(); attempt++ {
+	err := h.retrier("activate", viewRetry, retryAll).run(func(attempt int) error {
 		if attempt > 0 {
+			// Each retry follows a backoff that lets gossip converge.
 			reg.Counter("colza.activate.retries", "pipeline", h.pipeline).Inc()
-			// Back off to let gossip converge before the next round.
-			if !h.sleepInterruptible(h.backoff(viewRetry, attempt-1)) {
-				return MemberView{}, fmt.Errorf("colza: activate aborted (last error: %v): %w", lastErr, ErrHandleClosed)
-			}
 		}
 		if attempt > 0 || len(view.Members) == 0 {
 			v, err := h.refreshView(timeout)
 			if err != nil {
-				lastErr = err
-				continue
+				return err
 			}
 			view = v
 		}
 		view.Epoch = (it+1)<<8 | uint64(attempt&0xff)
-		if ok, err := h.tryActivate(it, view, timeout); ok {
-			h.mu.Lock()
-			h.view = view
-			h.mu.Unlock()
-			h.codec.negotiate(h.pipeline, view.Members)
-			return view, nil
-		} else if err != nil {
-			lastErr = err
+		err := h.tryActivate(it, view, timeout)
+		if err != nil {
+			// A failed round means our picture of the group is suspect: drop
+			// the cached info of every proposed member so the next round
+			// re-resolves addresses.
+			for _, m := range view.Members {
+				h.c.evictInfo(m.RPC)
+			}
+			view = MemberView{}
 		}
-		// A failed round means our picture of the group is suspect: drop
-		// the cached info of every proposed member so the next round
-		// re-resolves addresses.
-		for _, m := range view.Members {
-			h.c.evictInfo(m.RPC)
-		}
-		view = MemberView{}
+		return err
+	})
+	switch {
+	case errors.Is(err, ErrHandleClosed):
+		return MemberView{}, err
+	case err != nil:
+		return MemberView{}, fmt.Errorf("%w: %v", ErrActivateFailed, err)
 	}
-	return MemberView{}, fmt.Errorf("%w: %v", ErrActivateFailed, lastErr)
+	h.mu.Lock()
+	h.view = view
+	h.mu.Unlock()
+	h.codec.negotiate(h.pipeline, view.Members)
+	return view, nil
 }
 
-// tryActivate performs one prepare/commit round over the proposed view.
-func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, timeout time.Duration) (bool, error) {
+// tryActivate performs one prepare/commit round over the proposed view; nil
+// means every member committed.
+func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, timeout time.Duration) error {
 	payload, _ := json.Marshal(prepareMsg{Pipeline: h.pipeline, Iteration: it, View: view})
-	n := len(view.Members)
-	votes := make([]voteMsg, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, m := range view.Members {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			raw, err := h.c.call(addr, "prepare", payload, timeout)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = json.Unmarshal(raw, &votes[i])
-		}(i, m.RPC)
-	}
-	wg.Wait()
+	raws, errs := h.fanout(view, "prepare", payload, timeout)
 	var reasons []error
-	for i := range votes {
-		if errs[i] != nil {
-			reasons = append(reasons, fmt.Errorf("colza: prepare on %s: %w", view.Members[i].RPC, errs[i]))
-		} else if !votes[i].Yes {
-			reasons = append(reasons, fmt.Errorf("colza: %s voted no: %s", view.Members[i].RPC, votes[i].Reason))
+	for i, raw := range raws {
+		var vote voteMsg
+		err := errs[i]
+		if err == nil {
+			err = json.Unmarshal(raw, &vote)
+		}
+		if err != nil {
+			reasons = append(reasons, fmt.Errorf("colza: prepare on %s: %w", view.Members[i].RPC, err))
+		} else if !vote.Yes {
+			reasons = append(reasons, fmt.Errorf("colza: %s voted no: %s", view.Members[i].RPC, vote.Reason))
 		}
 	}
 	ep, _ := json.Marshal(epochMsg{Pipeline: h.pipeline, Iteration: it, Epoch: view.Epoch})
@@ -619,16 +582,16 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 		if cerr := h.cleanupBroadcast(view, "abort", ep, timeout); cerr != nil {
 			reasons = append(reasons, cerr)
 		}
-		return false, errors.Join(reasons...)
+		return errors.Join(reasons...)
 	}
 	if _, err := h.broadcast(view, "commit", ep, timeout); err != nil {
 		// Partial commit: deactivate whatever committed, then retry.
 		if cerr := h.cleanupBroadcast(view, "deactivate", ep, timeout); cerr != nil {
 			err = errors.Join(err, cerr)
 		}
-		return false, err
+		return err
 	}
-	return true, nil
+	return nil
 }
 
 // Stage exposes data and asks the selected server to pull it. Unbatched,
@@ -691,22 +654,13 @@ func (h *DistributedPipelineHandle) callStage(addr string, frame []byte) (resp [
 	timeout := h.timeout
 	retry := h.stageRetry
 	h.mu.Unlock()
-	for attempt := 0; attempt < retry.attempts(); attempt++ {
+	err = h.retrier("stage", retry, Retryable).run(func(attempt int) error {
 		if attempt > 0 {
 			h.c.observer().Counter("colza.stage.retries", "pipeline", h.pipeline).Inc()
-			sleep := h.backoff(retry, attempt-1)
-			if ra := BusyRetryAfter(err); ra > sleep {
-				sleep = ra
-			}
-			if !h.sleepInterruptible(sleep) {
-				return nil, fmt.Errorf("colza: stage aborted: %w", ErrHandleClosed)
-			}
 		}
-		resp, err = h.c.call(addr, "stage", frame, timeout)
-		if err == nil || !Retryable(err) {
-			break
-		}
-	}
+		resp, err = h.c.call(addr, "stage", frame, timeout, h.closed)
+		return err
+	})
 	return resp, err
 }
 

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
-	"math/rand"
+	"fmt"
+	"math"
 	"time"
 
 	"colza/internal/mercury"
 	"colza/internal/na"
+	"colza/internal/obs"
 )
 
 // ErrorClass partitions RPC failures by what the client may safely do next.
@@ -113,7 +115,7 @@ func BusyRetryAfter(err error) time.Duration {
 type RetryPolicy struct {
 	Max    int           // attempts including the first; <=0 means 1
 	Base   time.Duration // first backoff step
-	Cap    time.Duration // backoff ceiling
+	Cap    time.Duration // backoff ceiling; <=0 means none
 	Jitter float64       // extra random fraction in [0, Jitter)
 }
 
@@ -124,29 +126,109 @@ var DefaultStageRetry = RetryPolicy{Max: 4, Base: 5 * time.Millisecond, Cap: 200
 // activate rounds.
 var DefaultViewRetry = RetryPolicy{Max: 8, Base: 10 * time.Millisecond, Cap: time.Second, Jitter: 0.5}
 
-// Backoff returns the sleep before retry attempt k (0-based), drawing
-// jitter from rng (which may be nil for no jitter).
-func (rp RetryPolicy) Backoff(k int, rng *rand.Rand) time.Duration {
-	d := rp.Base
+// backoff returns the sleep before retry attempt k (0-based), drawing the
+// jitter fraction from jitter (nil: none). The doubling saturates at the
+// ceiling — math.MaxInt64 when Cap is unset — instead of overflowing.
+func (rp RetryPolicy) backoff(k int, jitter func() float64) time.Duration {
+	d, ceiling := rp.Base, rp.Cap
 	if d <= 0 {
 		d = time.Millisecond
 	}
-	for i := 0; i < k && d < rp.Cap; i++ {
+	if ceiling <= 0 {
+		ceiling = math.MaxInt64
+	}
+	i := 0
+	for ; i < k && d <= ceiling/2; i++ {
 		d *= 2
 	}
-	if rp.Cap > 0 && d > rp.Cap {
-		d = rp.Cap
+	if i < k || d > ceiling {
+		d = ceiling
 	}
-	if rp.Jitter > 0 && rng != nil {
-		d += time.Duration(rp.Jitter * rng.Float64() * float64(d))
+	if rp.Jitter > 0 && jitter != nil {
+		j := rp.Jitter * jitter() * float64(d)
+		if j >= float64(math.MaxInt64-d) {
+			return math.MaxInt64
+		}
+		d += time.Duration(j)
 	}
 	return d
 }
 
-// attempts normalizes Max.
-func (rp RetryPolicy) attempts() int {
-	if rp.Max <= 0 {
-		return 1
+// sleepFunc waits d unless cancel closes first, and returns how long it
+// actually waited.
+type sleepFunc func(d time.Duration, cancel <-chan struct{}) time.Duration
+
+// wallSleep is the wall-clock sleepFunc.
+func wallSleep(d time.Duration, cancel <-chan struct{}) time.Duration {
+	start := time.Now()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-cancel:
 	}
-	return rp.Max
+	return time.Since(start)
+}
+
+// retrier is the one backoff loop of core and elastic. Each retry site
+// (busy, stage, activate, checkpoint, migrate, launch) fills one in; the
+// loop accounts for it once, under the site label: core.retry.giveups
+// counts runs that spent every attempt or were canceled, and
+// core.retry.slept_ns the nanoseconds actually slept.
+type retrier struct {
+	site      string
+	policy    RetryPolicy
+	retryable func(error) bool
+	jitter    func() float64  // uniform draws in [0, 1); nil: no jitter
+	sleep     sleepFunc       // nil: wallSleep
+	cancel    <-chan struct{} // closing it cuts a backoff short; nil never does
+	canceled  error           // the cause a canceled run wraps
+	reg       *obs.Registry
+}
+
+// run calls op(attempt) until it succeeds, fails with an error retryable
+// rejects, or policy.Max attempts are spent, backing off between attempts.
+// It returns op's last error, or, when cancel closes during a backoff,
+// that error wrapped under the cancel cause.
+func (r retrier) run(op func(attempt int) error) error {
+	sleep := r.sleep
+	if sleep == nil {
+		sleep = wallSleep
+	}
+	for attempt := 0; ; attempt++ {
+		err := op(attempt)
+		if err == nil || !r.retryable(err) {
+			return err
+		}
+		if attempt+1 < r.policy.Max {
+			// A busy error's Retry-After hint raises the base, which then
+			// doubles like any other.
+			rp := r.policy
+			rp.Base = max(rp.Base, BusyRetryAfter(err))
+			slept := sleep(rp.backoff(attempt, r.jitter), r.cancel)
+			r.reg.Counter("core.retry.slept_ns", "site", r.site).Add(int64(slept))
+			select {
+			case <-r.cancel:
+				err = fmt.Errorf("colza: %s retry aborted (last error: %v): %w", r.site, err, r.canceled)
+			default:
+				continue
+			}
+		}
+		r.reg.Counter("core.retry.giveups", "site", r.site).Inc()
+		return err
+	}
+}
+
+func retryAll(error) bool { return true }
+
+// errRetryCanceled is what Run reports when cancel closes.
+var errRetryCanceled = errors.New("colza: retry canceled")
+
+// Run is the retry loop for callers outside this package (the elastic
+// controller's launches): every error is retryable, backoffs draw no
+// jitter, sleep (nil: the wall clock) waits them out, and closing cancel
+// ends the run with errRetryCanceled. Accounting lands in reg under site.
+func (rp RetryPolicy) Run(site string, reg *obs.Registry, sleep func(time.Duration, <-chan struct{}) time.Duration, cancel <-chan struct{}, op func(attempt int) error) error {
+	return retrier{site: site, policy: rp, retryable: retryAll, sleep: sleep,
+		cancel: cancel, canceled: errRetryCanceled, reg: reg}.run(op)
 }

@@ -170,12 +170,13 @@ type Provider struct {
 	codecOut       map[uint8]*obs.Counter
 	deltas         *codec.DeltaState
 
-	// migrateSleep, when non-nil, replaces time.Sleep in the migrate retry
-	// so dessim-style tests cover the backoff without real sleeps;
-	// migrateRNG draws its jitter (leave-time migration runs on a single
-	// goroutine, so no extra locking).
-	migrateSleep func(time.Duration)
-	migrateRNG   *rand.Rand
+	// done closes when the Margo instance finalizes, ending the backoffs
+	// of the state-transfer retries (checkpoint, migrate) so Shutdown does
+	// not serve out their schedules. retrySleep is their shared sleep seam
+	// (nil: the wall clock); tests replace it to observe backoffs without
+	// real sleeps.
+	done       chan struct{}
+	retrySleep sleepFunc
 }
 
 // SetObserver routes this provider's metrics and spans (and the Margo
@@ -228,8 +229,9 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 		ckpts:         make(map[ckptKey]*ckptEntry),
 		sentReplicas:  make(map[string][]string),
 		deltas:        codec.NewDeltaState(0),
-		migrateRNG:    rand.New(rand.NewSource(1)),
+		done:          make(chan struct{}),
 	}
+	mi.OnFinalize(func() { close(p.done) })
 	p.SetAcceptedCodecs(codec.IDs())
 	mi.RegisterProviderRPC(ProviderID, "prepare", p.handlePrepare)
 	mi.RegisterProviderRPC(ProviderID, "commit", p.handleCommit)
@@ -945,30 +947,18 @@ func (p *Provider) migrateStatefulPipelines() MigrationStatus {
 }
 
 // migrateRetry bounds the migrate_state resend: two attempts with a
-// jittered backoff between them — the same shape as every other retry in
-// the repo (the bare 50ms time.Sleep this replaces was neither jittered
-// nor clock-injectable, so no test ever covered it without a real sleep).
+// jittered backoff between them.
 var migrateRetry = RetryPolicy{Max: 2, Base: 50 * time.Millisecond, Cap: 200 * time.Millisecond, Jitter: 0.5}
 
-// sleepMigrate waits out a migrate backoff through the injectable clock.
-func (p *Provider) sleepMigrate(d time.Duration) {
-	p.mu.Lock()
-	fn := p.migrateSleep
-	p.mu.Unlock()
-	if fn != nil {
-		fn(d)
-		return
-	}
-	time.Sleep(d)
+// retrier runs one of the provider's state-transfer retry sites: a remote
+// refusal is final (the peer answered), anything else retries, and the
+// backoffs end (mercury.ErrClosed) when the instance finalizes.
+func (p *Provider) retrier(site string, rp RetryPolicy) retrier {
+	return retrier{site: site, policy: rp, retryable: notRemote, jitter: rand.Float64,
+		sleep: p.retrySleep, cancel: p.done, canceled: mercury.ErrClosed, reg: p.observer()}
 }
 
-// SetMigrateSleep injects the migrate retry's sleep function (tests cover
-// the backoff without real sleeps); nil restores time.Sleep.
-func (p *Provider) SetMigrateSleep(fn func(time.Duration)) {
-	p.mu.Lock()
-	p.migrateSleep = fn
-	p.mu.Unlock()
-}
+func notRemote(err error) bool { return Classify(err) != ClassRemote }
 
 // migrateCall sends one migrate_state transfer, retrying transient
 // failures under migrateRetry. Every failed attempt counts into
@@ -978,21 +968,13 @@ func (p *Provider) SetMigrateSleep(fn func(time.Duration)) {
 // caller moves on to the next ring member.
 func (p *Provider) migrateCall(addr string, payload []byte) error {
 	reg := p.observer()
-	var err error
-	for attempt := 0; attempt < migrateRetry.attempts(); attempt++ {
-		if attempt > 0 {
-			p.sleepMigrate(migrateRetry.Backoff(attempt-1, p.migrateRNG))
+	return p.retrier("migrate", migrateRetry).run(func(int) error {
+		_, err := p.mi.CallProvider(addr, ProviderID, "migrate_state", payload, 10*time.Second)
+		if err != nil {
+			reg.Counter("core.migrate.errors").Inc()
 		}
-		_, err = p.mi.CallProvider(addr, ProviderID, "migrate_state", payload, 10*time.Second)
-		if err == nil {
-			return nil
-		}
-		reg.Counter("core.migrate.errors").Inc()
-		if Classify(err) == ClassRemote {
-			return err
-		}
-	}
-	return err
+		return err
+	})
 }
 
 // handleMigrateState merges a departing peer's pipeline state into the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"colza/internal/mercury"
 	"colza/internal/na"
 	"colza/internal/obs"
+	"colza/internal/ssg"
 )
 
 // blockByte is the deterministic content pattern for a staged block:
@@ -84,8 +86,9 @@ func init() {
 // and every exposed bulk region must be released by shutdown, client and
 // servers alike (the mercury.bulk.exposed.bytes balance check).
 //
-// The arms cover both transports (inproc, and sm+tcp dual endpoints whose
-// pulls are zero-copy out of the client's shared arena), both senders
+// The arms cover three transports (inproc; plain TCP sockets; and sm+tcp
+// dual endpoints whose pulls are zero-copy out of the client's shared
+// arena), both senders
 // (per-block batch-of-one frames, whose bulk handle exposes the caller's own
 // buffer; and the batcher, whose shared payload buffer is batch-owned), and
 // the wire codec off, adaptive, or forced to delta. The compressed arms add
@@ -98,12 +101,13 @@ func TestChaosStageRetry(t *testing.T) {
 		{transport: "inproc", codec: "delta"},
 		{transport: "inproc", batched: true, codec: "raw"},
 		{transport: "inproc", batched: true, codec: "delta"},
+		{transport: "tcp", codec: "raw"},
 		{transport: "sm", codec: "raw"},
 		{transport: "sm", batched: true, codec: "raw"},
 	}
 	// Subtests nest transport / sender / codec, so one transport or one
 	// sender can be selected on its own with -run.
-	for _, transport := range []string{"inproc", "sm"} {
+	for _, transport := range []string{"inproc", "tcp", "sm"} {
 		t.Run(transport, func(t *testing.T) {
 			for _, batched := range []bool{false, true} {
 				t.Run(stageChaosArm{batched: batched}.sender(), func(t *testing.T) {
@@ -120,7 +124,7 @@ func TestChaosStageRetry(t *testing.T) {
 
 // stageChaosArm is one cell of the stage-retry chaos matrix.
 type stageChaosArm struct {
-	transport string // "inproc" or "sm"
+	transport string // "inproc", "tcp" or "sm"
 	batched   bool   // stage through the coalescing batcher
 	codec     string // "raw" (codec off), "adaptive", or a forced codec name
 }
@@ -141,6 +145,44 @@ func (a stageChaosArm) name() string {
 // stage frame or its response can cross.
 func stageChaosDeployment(t *testing.T, arm stageChaosArm) (servers []*core.Server, clientEP na.Endpoint, setPlan func(*na.FaultPlan)) {
 	t.Helper()
+	if arm.transport == "tcp" {
+		var eps []*faultyEndpoint
+		listen := func() *faultyEndpoint {
+			ep, err := na.ListenTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fe := &faultyEndpoint{Endpoint: ep}
+			eps = append(eps, fe)
+			return fe
+		}
+		for i := 0; i < 2; i++ {
+			boot := ""
+			if i > 0 {
+				boot = servers[0].Addr()
+			}
+			rpcEP := listen()
+			monaEP, err := na.ListenTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := core.StartServer(rpcEP, monaEP, core.ServerConfig{
+				Bootstrap: boot,
+				// Generous failure-detector settings, as in startTCPServer.
+				SSG: ssg.Config{GossipPeriod: 10 * time.Millisecond, PingTimeout: 200 * time.Millisecond, SuspectPeriods: 30},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			servers = append(servers, s)
+			t.Cleanup(s.Shutdown)
+		}
+		return servers, listen(), func(p *na.FaultPlan) {
+			for _, ep := range eps {
+				ep.plan.Store(p)
+			}
+		}
+	}
 	if arm.transport == "sm" {
 		dir := smTestDir(t)
 		var eps []*na.DualEndpoint
@@ -184,6 +226,21 @@ func stageChaosDeployment(t *testing.T, arm stageChaosArm) (servers []*core.Serv
 		t.Fatal(err)
 	}
 	return servers, cep, net.SetFaultPlan
+}
+
+// faultyEndpoint drops the outgoing frames a fault plan selects — the
+// plain TCP endpoint has no plan hook of its own. Delay verdicts are not
+// modelled; the chaos plans here only drop.
+type faultyEndpoint struct {
+	na.Endpoint
+	plan atomic.Pointer[na.FaultPlan]
+}
+
+func (e *faultyEndpoint) Send(to string, data []byte) error {
+	if p := e.plan.Load(); p != nil && p.Decide(e.Addr(), to, data).Drop {
+		return nil
+	}
+	return e.Endpoint.Send(to, data)
 }
 
 func runStageChaosArm(t *testing.T, arm stageChaosArm) {

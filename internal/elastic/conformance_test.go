@@ -282,6 +282,13 @@ func TestConformanceLaunchFailureRetries(t *testing.T) {
 	if att != errs+up {
 		t.Fatalf("conservation violated: %d != %d + %d", att, errs, up)
 	}
+	// Retry accounting runs on the controller clock: both backoffs, virtual.
+	if slept := h.reg.Counter("core.retry.slept_ns", "site", "launch").Value(); slept != int64(150*ms) {
+		t.Fatalf("core.retry.slept_ns{site=launch} = %v, want 150ms", time.Duration(slept))
+	}
+	if n := h.reg.Counter("core.retry.giveups", "site", "launch").Value(); n != 1 {
+		t.Fatalf("core.retry.giveups{site=launch} = %d, want 1", n)
+	}
 }
 
 // A daemon that launches but crashes before joining must be detected by

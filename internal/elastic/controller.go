@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"colza/internal/autoscale"
+	"colza/internal/core"
 	"colza/internal/obs"
 )
 
@@ -51,15 +52,17 @@ type Config struct {
 	Poll time.Duration
 	// LaunchRetries bounds the launch attempts per scale-up verdict
 	// (default 3); LaunchBackoff is the first retry delay, doubled per
-	// attempt (default 100ms); JoinTimeout bounds how long a launched
-	// daemon may take to appear in the membership (default 10s).
+	// attempt with no ceiling or jitter (default 100ms); JoinTimeout
+	// bounds how long a launched daemon may take to appear in the
+	// membership (default 10s).
 	LaunchRetries int
 	LaunchBackoff time.Duration
 	JoinTimeout   time.Duration
 	// HistoryCap bounds the retained verdict ring (default 128).
 	HistoryCap int
 	// Clock and Sleep inject the time source; nil means wall time. They
-	// must agree (sleeping advances the clock).
+	// must agree (sleeping advances the clock). Only wall-time sleeps are
+	// cut short by Stop.
 	Clock autoscale.Clock
 	Sleep func(time.Duration)
 }
@@ -95,9 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		start := time.Now()
 		c.Clock = func() time.Duration { return time.Since(start) }
-	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
 	}
 	return c
 }
@@ -231,7 +231,11 @@ func NewController(cfg Config, deps Deps) (*Controller, error) {
 // live membership size). It evaluates leadership, feeds the policy, and
 // actuates the verdict synchronously. The sensing loop calls it every
 // Poll; the conformance suite calls it directly.
-func (c *Controller) Tick(batch []autoscale.Sample) Verdict {
+func (c *Controller) Tick(batch []autoscale.Sample) Verdict { return c.tick(batch, nil) }
+
+// tick is Tick with the sensing loop's stop channel: closing it ends an
+// in-flight scale-up's launch backoff and join wait.
+func (c *Controller) tick(batch []autoscale.Sample, stop <-chan struct{}) Verdict {
 	members := c.deps.Members()
 	n := len(members)
 	now := c.cfg.Clock()
@@ -264,7 +268,7 @@ func (c *Controller) Tick(batch []autoscale.Sample) Verdict {
 	reason := pv.Reason
 	switch pv.Action {
 	case autoscale.ScaleUp:
-		if actuated = c.scaleUp(members); actuated {
+		if actuated = c.scaleUp(members, stop); actuated {
 			c.scaleups.Inc()
 		} else {
 			reason += "; launch-failed"
@@ -331,52 +335,47 @@ func (c *Controller) recordLocked(now time.Duration, action, reason string, serv
 	return v
 }
 
+// errNotJoined fails a launch attempt whose daemon never joined.
+var errNotJoined = errors.New("elastic: launched daemon did not join")
+
 // scaleUp launches one daemon with bounded retries and exponential
-// backoff, waiting after each launch for a new member to join. Every
-// attempt increments elastic.launch_attempts; every failure — a launch
-// error or a daemon that never joined (crashed before joining, or join
-// timeout) — increments elastic.launch_errors, so
-// launch_attempts == launch_errors + elastic.scaleups holds invariantly.
-func (c *Controller) scaleUp(members []string) bool {
+// backoff (core's retry loop, site "launch"), waiting after each launch
+// for a new member to join. Every attempt increments
+// elastic.launch_attempts; every failure — a launch error or a daemon that
+// never joined (crashed before joining, join timeout, or stop) —
+// increments elastic.launch_errors, so launch_attempts == launch_errors +
+// elastic.scaleups holds invariantly.
+func (c *Controller) scaleUp(members []string, stop <-chan struct{}) bool {
 	prior := make(map[string]bool, len(members))
 	for _, m := range members {
 		prior[m] = true
 	}
-	backoff := c.cfg.LaunchBackoff
-	for attempt := 1; attempt <= c.cfg.LaunchRetries; attempt++ {
-		if attempt > 1 {
-			c.cfg.Sleep(backoff)
-			backoff *= 2
-		}
+	launch := core.RetryPolicy{Max: c.cfg.LaunchRetries, Base: c.cfg.LaunchBackoff}
+	return launch.Run("launch", c.reg, c.sleep, stop, func(int) error {
 		c.launchAttempts.Inc()
 		if err := c.deps.Launcher.Launch(); err != nil {
 			c.launchErrs.Inc()
-			continue
+			return err
 		}
-		if addr := c.waitJoin(prior); addr != "" {
-			if c.deps.Provision != nil {
-				if err := c.deps.Provision(addr); err != nil {
-					c.provisionErrs.Inc()
-				}
+		addr := c.waitJoin(prior, stop)
+		if addr == "" {
+			c.launchErrs.Inc()
+			return errNotJoined
+		}
+		if c.deps.Provision != nil {
+			if err := c.deps.Provision(addr); err != nil {
+				c.provisionErrs.Inc()
 			}
-			return true
 		}
-		c.launchErrs.Inc()
-	}
-	return false
+		return nil
+	}) == nil
 }
 
 // waitJoin polls the membership for an address not in prior, up to
-// JoinTimeout on the controller clock.
-func (c *Controller) waitJoin(prior map[string]bool) string {
+// JoinTimeout on the controller clock or until stop closes.
+func (c *Controller) waitJoin(prior map[string]bool, stop <-chan struct{}) string {
 	deadline := c.cfg.Clock() + c.cfg.JoinTimeout
-	quantum := c.cfg.JoinTimeout / 50
-	if quantum < time.Millisecond {
-		quantum = time.Millisecond
-	}
-	if quantum > 100*time.Millisecond {
-		quantum = 100 * time.Millisecond
-	}
+	quantum := min(max(c.cfg.JoinTimeout/50, time.Millisecond), 100*time.Millisecond)
 	for {
 		for _, m := range c.deps.Members() {
 			if !prior[m] {
@@ -386,8 +385,27 @@ func (c *Controller) waitJoin(prior map[string]bool) string {
 		if c.cfg.Clock() >= deadline {
 			return ""
 		}
-		c.cfg.Sleep(quantum)
+		if c.sleep(quantum, stop) < quantum {
+			return "" // cut short: stopped
+		}
 	}
+}
+
+// sleep waits d through the injected Sleep, or on the wall clock until
+// stop closes, and returns the controller-clock time that passed.
+func (c *Controller) sleep(d time.Duration, stop <-chan struct{}) time.Duration {
+	start := c.cfg.Clock()
+	if c.cfg.Sleep != nil {
+		c.cfg.Sleep(d)
+	} else {
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-stop:
+			t.Stop()
+		}
+	}
+	return c.cfg.Clock() - start
 }
 
 // scaleDownVictim picks the member to release: the last of the sorted
@@ -425,11 +443,18 @@ func (c *Controller) run(stop, done chan struct{}) {
 	ticker := time.NewTicker(c.cfg.Poll)
 	defer ticker.Stop()
 	for {
+		// A closed stop must win over a ready ticker: select picks among
+		// ready cases at random, so check before starting another round.
+		select {
+		case <-stop:
+			return
+		default:
+		}
 		batch, errs := c.src.Poll(c.deps.Members())
 		if errs > 0 {
 			c.senseErr.Add(int64(errs))
 		}
-		c.Tick(batch)
+		c.tick(batch, stop)
 		select {
 		case <-stop:
 			return

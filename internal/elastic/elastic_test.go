@@ -90,6 +90,62 @@ func TestControllerStopLeaksNoGoroutine(t *testing.T) {
 	t.Fatalf("goroutines: %d before, %d after controller Stop", before, runtime.NumGoroutine())
 }
 
+// TestControllerStopDuringScaleUp: Stop must cut an in-flight scale-up
+// short — the join wait and the launch backoff both end when the sensing
+// loop stops — instead of blocking for every join timeout, and the launch
+// conservation invariant still holds for the abandoned attempt.
+func TestControllerStopDuringScaleUp(t *testing.T) {
+	ms := int64(time.Millisecond)
+	var mu sync.Mutex
+	var total, count int64
+	reg := obs.NewRegistry()
+	c, err := NewController(Config{
+		Target: 50 * time.Millisecond, Ceiling: 2, Confirm: 1,
+		CooldownObs: 1, Cooldown: time.Millisecond, Poll: 2 * time.Millisecond,
+		LaunchRetries: 3, LaunchBackoff: 100 * time.Millisecond, JoinTimeout: time.Second,
+	}, Deps{
+		Self:    "m00",
+		Members: func() []string { return []string{"m00"} },
+		Snapshot: func(string) (obs.Snapshot, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			total += 500 * ms // every poll: one 500ms iteration
+			count++
+			return execSnap(total, count), nil
+		},
+		// "Launched", but the daemon never joins.
+		Launcher: LauncherFunc(func() error { return nil }),
+		Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("elastic.launch_attempts").Value() < 1 {
+		if time.Now().After(deadline) {
+			c.Stop()
+			t.Fatalf("controller never launched; status: %+v", c.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	c.Stop()
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Fatalf("Stop took %v during a scale-up, want < 500ms", elapsed)
+	}
+	att, errs, up := reg.Counter("elastic.launch_attempts").Value(),
+		reg.Counter("elastic.launch_errors").Value(), reg.Counter("elastic.scaleups").Value()
+	if att < 1 || att != errs+up {
+		t.Fatalf("attempts=%d errors=%d scaleups=%d: conservation violated", att, errs, up)
+	}
+	if n := reg.Counter("core.retry.giveups", "site", "launch").Value(); n != 1 {
+		t.Fatalf("core.retry.giveups{site=launch} = %d, want 1 (the stopped scale-up)", n)
+	}
+}
+
 func TestScaleDownVictim(t *testing.T) {
 	cases := []struct {
 		members []string
